@@ -37,8 +37,6 @@ from .estimate import (
 from .fisher import (
     FisherMatrix,
     MonteCarloFisher,
-    ScoreVector,
-    dv_dg,
     fisher_analytic,
     fisher_limit_closed_form,
     fisher_monte_carlo,
@@ -46,6 +44,7 @@ from .fisher import (
 )
 from .interferometer import (
     InterferometerConfig,
+    MeasuredModel,
     ReducedState,
     beam_splitter_matrix,
     full_output_covariance,
@@ -78,6 +77,7 @@ __all__ = [
     "EstimateResult",
     "FisherMatrix",
     "InterferometerConfig",
+    "MeasuredModel",
     "MeasurementRecord",
     "MleResult",
     "MonteCarloFisher",
@@ -87,7 +87,6 @@ __all__ = [
     "ReducedState",
     "SchemeCurve",
     "SchemeId",
-    "ScoreVector",
     "SourceParams",
     "TmsvParams",
     "ValidationError",
@@ -99,7 +98,6 @@ __all__ = [
     "cumulative_curves",
     "curves_to_csv",
     "direct_sum",
-    "dv_dg",
     "fisher_analytic",
     "fisher_limit_closed_form",
     "fisher_monte_carlo",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ConvergenceError, NumericalError, ValidationError
+from .core import NumericalError, ValidationError
 from .estimate import crb_experiment
 from .fisher import (
     LIMIT_INFINITY,
@@ -328,15 +328,16 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: output: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -236,86 +236,21 @@ def apply_symplectic(v: CovarianceMatrix, s: np.ndarray) -> CovarianceMatrix:
     return CovarianceMatrix(v.ordering, out)
 
 
-# Pade scaling-and-squaring, order chosen by the 1-norm (Higham's method).
+# Order-13 Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
 # Matrices in this package are 4x4 to 8x8, so accuracy is the only concern.
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068,
-    13: 5.371920351148152,
-}
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (
-        17643225600.0,
-        8821612800.0,
-        2075673600.0,
-        302702400.0,
-        30270240.0,
-        2162160.0,
-        110880.0,
-        3960.0,
-        90.0,
-        1.0,
-    ),
-    13: (
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
-    ),
-}
-
-
-def _pade_u_v(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    b = _PADE_COEFFS[order]
-    n = a.shape[0]
-    ident = np.eye(n)
-    a2 = a @ a
-    if order == 13:
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        u = a @ (
-            a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-            + b[7] * a6
-            + b[5] * a4
-            + b[3] * a2
-            + b[1] * ident
-        )
-        v = (
-            a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-            + b[6] * a6
-            + b[4] * a4
-            + b[2] * a2
-            + b[0] * ident
-        )
-        return u, v
-    even_powers = [ident, a2]
-    for _ in range((order - 1) // 2 - 1):
-        even_powers.append(even_powers[-1] @ a2)
-    u = a @ sum(b[2 * k + 1] * even_powers[k] for k in range(len(even_powers)))
-    v = sum(b[2 * k] * even_powers[k] for k in range(len(even_powers)))
-    return u, v
+_PADE13_THETA = 5.371920351148152
+_PADE13_COEFFS = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(M) by Pade approximant with scaling and squaring.
+    """exp(M) by the order-13 Pade approximant with scaling and squaring.
 
-    Order is selected from the 1-norm; matrices above the order-13 threshold are
-    scaled by 2^-s first and the result squared s times. exp(0) = I exactly.
+    M is scaled by 2^-s so its 1-norm is at most the order-13 threshold, and the
+    approximant is squared s times. exp(0) = I exactly.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -325,12 +260,17 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(a, 1))
     if norm == 0.0:
         return np.eye(a.shape[0])
-    for order in (3, 5, 7, 9):
-        if norm <= _PADE_THETA[order]:
-            u, v = _pade_u_v(a, order)
-            return np.linalg.solve(v - u, v + u)
-    squarings = max(0, math.ceil(math.log2(norm / _PADE_THETA[13])))
-    u, v = _pade_u_v(a / (2.0**squarings), 13)
+    squarings = max(0, math.ceil(math.log2(norm / _PADE13_THETA)))
+    a = a / (2.0**squarings)
+    b = _PADE13_COEFFS
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    odd = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+    u = a @ (odd + b[1] * ident)
+    even = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+    v = even + b[0] * ident
     result = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
         result = result @ result
@@ -362,25 +302,13 @@ def _check_positive_definite(entries: np.ndarray, what: str) -> np.ndarray:
     return eigs
 
 
-def gaussian_log_pdf(v: CovarianceMatrix, x: np.ndarray) -> float:
-    """Log density of the zero-mean Gaussian with covariance V at outcome x.
+def gaussian_log_pdf(v: CovarianceMatrix, xs: np.ndarray) -> np.ndarray:
+    """Log density of the zero-mean Gaussian with covariance V at each row of xs.
 
     log P(x) = -x^T V^-1 x / 2 - log((2 pi)^d det V) / 2, the normalized density
-    (the Monte Carlo integral of exp(log_pdf) over R^d is 1; see tests).
+    (the Monte Carlo integral of exp(log_pdf) over R^d is 1; see tests). ``xs``
+    is an (n, d) outcome array; the result has shape (n,).
     """
-    x = np.asarray(x, dtype=float)
-    d = v.dim
-    if x.shape != (d,):
-        raise ValidationError(f"outcome shape {x.shape} does not match dimension {d}")
-    _check_positive_definite(v.entries, "measurement covariance")
-    chol = np.linalg.cholesky(v.entries)
-    half_logdet = float(np.sum(np.log(np.diag(chol))))
-    y = np.linalg.solve(chol, x)
-    return -0.5 * float(y @ y) - half_logdet - 0.5 * d * math.log(2.0 * math.pi)
-
-
-def gaussian_log_pdf_rows(v: CovarianceMatrix, xs: np.ndarray) -> np.ndarray:
-    """Vectorized ``gaussian_log_pdf`` over the rows of an (n, d) outcome array."""
     xs = np.asarray(xs, dtype=float)
     d = v.dim
     if xs.ndim != 2 or xs.shape[1] != d:

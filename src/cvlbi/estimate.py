@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import ConvergenceError, ValidationError, _check_positive_definite
-from .fisher import dv_dg, fisher_analytic
-from .interferometer import InterferometerConfig, reduced_covariance_closed
-from .states import SourceParams
+from .core import ConvergenceError, ValidationError
+from .fisher import _measured_covariance, fisher_analytic
+from .interferometer import InterferometerConfig
+from .states import G_NORM_SLACK
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -140,9 +139,7 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    v_r = reduced_covariance_closed(cfg)
-    _check_positive_definite(v_r.entries, "measured covariance")
-    chol = np.linalg.cholesky(v_r.entries)
+    chol = np.linalg.cholesky(_measured_covariance(cfg))
     rng = np.random.default_rng(seed)
     out = np.empty((shots, 4))
     start = 0
@@ -154,45 +151,42 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     return MeasurementRecord(outcomes=out, seed=int(seed_value), config=cfg)
 
 
-def _config_at(record: MeasurementRecord, g1: float, g2: float) -> InterferometerConfig:
-    return InterferometerConfig(
-        SourceParams(record.config.source.epsilon, g1, g2), record.config.resource
-    )
-
-
 def _mean_nll_and_grad(record: MeasurementRecord, g: np.ndarray):
     """Per-shot negative log-likelihood and its gradient in (g1, g2).
 
     nll(g) = (log det V(g) + tr(V(g)^-1 S) + 4 log 2pi) / 2 with S the empirical
     second moment; the gradient uses the same trace algebra as the Fisher score.
     """
-    cfg = _config_at(record, float(g[0]), float(g[1]))
-    v = reduced_covariance_closed(cfg).entries
+    model = record.config.model
+    v = model.covariance(float(g[0]), float(g[1]))
     s = record.second_moment
     chol = np.linalg.cholesky(v)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     v_inv = np.linalg.inv(v)
     value = 0.5 * (logdet + float(np.trace(v_inv @ s)) + 4.0 * LOG_2PI)
-    d1, d2 = dv_dg(cfg)
     grad = np.empty(2)
-    for k, dk in enumerate((d1, d2)):
+    for k, dk in enumerate((model.d1, model.d2)):
         a = v_inv @ dk
         grad[k] = 0.5 * (float(np.trace(a)) - float(np.trace(a @ v_inv @ s)))
     return value, grad
 
 
+def _check_disk(g1: float, g2: float) -> None:
+    # written so that NaN fails the comparison and is rejected with infinities
+    if not g1 * g1 + g2 * g2 <= 1.0 + G_NORM_SLACK:
+        raise ValidationError(f"need finite g with |g| <= 1 (g1={g1}, g2={g2})")
+
+
 def log_likelihood(record: MeasurementRecord, g1: float, g2: float) -> float:
     """Total log-likelihood of the record at coherence (g1, g2); |g| <= 1 required."""
-    if g1 * g1 + g2 * g2 > 1.0 + 1e-12:
-        raise ValidationError(f"|g| <= 1 violated (g1={g1}, g2={g2})")
+    _check_disk(g1, g2)
     value, _ = _mean_nll_and_grad(record, np.array([g1, g2]))
     return -record.shots * value
 
 
 def log_likelihood_gradient(record: MeasurementRecord, g1: float, g2: float) -> np.ndarray:
     """Gradient of the total log-likelihood in (g1, g2)."""
-    if g1 * g1 + g2 * g2 > 1.0 + 1e-12:
-        raise ValidationError(f"|g| <= 1 violated (g1={g1}, g2={g2})")
+    _check_disk(g1, g2)
     _, grad = _mean_nll_and_grad(record, np.array([g1, g2]))
     return -record.shots * grad
 
@@ -206,6 +200,56 @@ def _project_disk(g: np.ndarray) -> np.ndarray:
 
 def _circle_point(angle: float) -> np.ndarray:
     return np.array([math.cos(angle), math.sin(angle)])
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A step-for-step port of SciPy's ``brentq`` (inverse quadratic or secant
+    step when it is short enough, bisection otherwise, relative tolerance
+    4 * machine epsilon), so it returns the same root to the last bit.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValidationError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):  # SciPy's default iteration cap
+        if fpre and fcur and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise ConvergenceError("root finder did not converge in 100 iterations")
 
 
 def _boundary_polish(fun_grad, x: np.ndarray, f: float, grad: np.ndarray):
@@ -240,7 +284,7 @@ def _boundary_polish(fun_grad, x: np.ndarray, f: float, grad: np.ndarray):
         width *= 2.0
     else:
         return x, f, grad
-    root = brentq(tangential, min(phi, other), max(phi, other), xtol=1e-15)
+    root = _brentq(tangential, min(phi, other), max(phi, other), xtol=1e-15)
     point, f_new, grad_new = at(root)
     if f_new <= f:
         return point, f_new, grad_new

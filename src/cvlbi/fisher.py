@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ValidationError, _check_positive_definite
-from .interferometer import InterferometerConfig, reduced_covariance_closed
+from .interferometer import InterferometerConfig, MeasuredModel
 
 PSD_FLOOR = -1e-9
 
@@ -57,14 +57,6 @@ class FisherMatrix:
         return float(np.sum(np.abs(np.linalg.eigvalsh(self.entries))))
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Gradient of the outcome log density with respect to (g1, g2) at one outcome."""
-
-    d_g1: float
-    d_g2: float
-
-
 @dataclass(frozen=True, eq=False)
 class MonteCarloFisher:
     """Monte Carlo Fisher estimate with elementwise standard errors.
@@ -81,32 +73,17 @@ class MonteCarloFisher:
     seed: int
 
 
-def dv_dg(cfg: InterferometerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Exact derivatives of the measured covariance with respect to g1 and g2.
-
-    Both are constant in (g1, g2, n_bar, theta): eps/2 spread over the slots the
-    coherence enters, with the sign pattern of the measured-covariance closed form.
-    """
-    half_eps = 0.5 * cfg.source.epsilon
-    d1 = np.zeros((4, 4))
-    d1[0, 2] = d1[2, 0] = half_eps
-    d1[1, 3] = d1[3, 1] = half_eps
-    d2 = np.zeros((4, 4))
-    d2[0, 3] = d2[3, 0] = half_eps
-    d2[1, 2] = d2[2, 1] = -half_eps
-    return d1, d2
+def _measured_covariance(cfg: InterferometerConfig) -> np.ndarray:
+    """V_r at the config's coherence, checked positive definite and well conditioned."""
+    v = cfg.model.covariance(cfg.source.g1, cfg.source.g2)
+    _check_positive_definite(v, "measured covariance")
+    return v
 
 
-def _score_pieces(cfg: InterferometerConfig):
-    """V_r, its Cholesky factor, the quadratic-form kernels, and the trace offsets."""
-    v_r = reduced_covariance_closed(cfg)
-    _check_positive_definite(v_r.entries, "measured covariance")
-    chol = np.linalg.cholesky(v_r.entries)
-    d1, d2 = dv_dg(cfg)
-    inv = np.linalg.inv(v_r.entries)
-    kernels = (inv @ d1 @ inv, inv @ d2 @ inv)
-    offsets = (float(np.trace(inv @ d1)), float(np.trace(inv @ d2)))
-    return v_r, chol, kernels, offsets
+def _score_kernels(model: MeasuredModel, v: np.ndarray):
+    """Per component: the kernel V^-1 D_i V^-1 and the trace offset tr(V^-1 D_i)."""
+    inv = np.linalg.inv(v)
+    return [(inv @ d @ inv, float(np.trace(inv @ d))) for d in (model.d1, model.d2)]
 
 
 def score_vectors(cfg: InterferometerConfig, outcomes: np.ndarray) -> np.ndarray:
@@ -119,26 +96,18 @@ def score_vectors(cfg: InterferometerConfig, outcomes: np.ndarray) -> np.ndarray
         outcomes = outcomes[None, :]
     if outcomes.shape[1] != 4:
         raise ValidationError(f"outcomes must have 4 columns, got {outcomes.shape}")
-    _, _, kernels, offsets = _score_pieces(cfg)
+    kernels = _score_kernels(cfg.model, _measured_covariance(cfg))
     scores = np.empty((outcomes.shape[0], 2))
-    for i, (kernel, offset) in enumerate(zip(kernels, offsets)):
+    for i, (kernel, offset) in enumerate(kernels):
         quad = np.einsum("ni,ij,nj->n", outcomes, kernel, outcomes)
         scores[:, i] = 0.5 * (quad - offset)
     return scores
 
 
-def score_vector(cfg: InterferometerConfig, outcome: np.ndarray) -> ScoreVector:
-    s = score_vectors(cfg, np.asarray(outcome, dtype=float)[None, :])[0]
-    return ScoreVector(float(s[0]), float(s[1]))
-
-
 def fisher_analytic(cfg: InterferometerConfig) -> FisherMatrix:
     """Fisher information from the Gaussian trace identity; exact for any n_bar."""
-    v_r = reduced_covariance_closed(cfg)
-    _check_positive_definite(v_r.entries, "measured covariance")
-    d1, d2 = dv_dg(cfg)
-    a1 = np.linalg.solve(v_r.entries, d1)
-    a2 = np.linalg.solve(v_r.entries, d2)
+    v = _measured_covariance(cfg)
+    a1, a2 = (np.linalg.solve(v, d) for d in (cfg.model.d1, cfg.model.d2))
     f11 = 0.5 * float(np.trace(a1 @ a1))
     f22 = 0.5 * float(np.trace(a2 @ a2))
     f12 = 0.5 * float(np.trace(a1 @ a2))
@@ -163,7 +132,9 @@ def fisher_monte_carlo(
     """
     if samples < MIN_MC_SAMPLES:
         raise ValidationError(f"samples must be >= {MIN_MC_SAMPLES}")
-    _, chol, kernels, offsets = _score_pieces(cfg)
+    v = _measured_covariance(cfg)
+    chol = np.linalg.cholesky(v)
+    (kernel1, offset1), (kernel2, offset2) = _score_kernels(cfg.model, v)
     rng = np.random.default_rng(seed)
 
     prod_sum = np.zeros(3)
@@ -176,8 +147,8 @@ def fisher_monte_carlo(
         remaining -= m
         z = rng.standard_normal((m, 4))
         x = z @ chol.T
-        s1 = 0.5 * (np.einsum("ni,ij,nj->n", x, kernels[0], x) - offsets[0])
-        s2 = 0.5 * (np.einsum("ni,ij,nj->n", x, kernels[1], x) - offsets[1])
+        s1 = 0.5 * (np.einsum("ni,ij,nj->n", x, kernel1, x) - offset1)
+        s2 = 0.5 * (np.einsum("ni,ij,nj->n", x, kernel2, x) - offset2)
         for k, prod in enumerate((s1 * s1, s1 * s2, s2 * s2)):
             prod_sum[k] += prod.sum()
             prod_sumsq[k] += (prod * prod).sum()

@@ -12,9 +12,10 @@ the two steps. That permutation is a named constant with its own unit test; doin
 it silently with index arithmetic is the likeliest way to get this wrong.
 
 Both a step-by-step pipeline and the direct closed form of the reduced covariance
-are provided. They agree to 1e-12; the closed form is what downstream consumers
-use (it stays exactly consistent with the analytic parameter derivatives), and
-the pipeline result is recorded alongside for verification.
+are provided. They agree to 1e-12. The closed form is linear in the coherence,
+V_r(g) = V_0 + g1 D1 + g2 D2; ``MeasuredModel`` holds V_0, D1 and D2 and is what
+downstream consumers (Fisher information, scores, sampling, likelihood) use. The
+pipeline result is recorded alongside for verification.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ MEASURED_LABELS = (("A1", "x"), ("A2", "p"), ("B1", "x"), ("B2", "p"))
 MEASURED_ORDERING = QuadratureOrdering.selection(MEASURED_LABELS)
 
 
+#: where the coherence enters the measured covariance: D_i = (eps / 2) * slots_i
+_G1_SLOTS = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+_G2_SLOTS = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
+
+
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Source and resource parameters feeding the fixed two-telescope layout."""
@@ -65,6 +71,11 @@ class InterferometerConfig:
     def measured(self) -> QuadratureOrdering:
         """The fixed homodyne selection; not configurable in this layout."""
         return MEASURED_ORDERING
+
+    @cached_property
+    def model(self) -> "MeasuredModel":
+        """The measured covariance as a linear function of the coherence, built once."""
+        return MeasuredModel.from_config(self)
 
     @classmethod
     def from_values(
@@ -152,17 +163,38 @@ def full_output_covariance_closed(cfg: InterferometerConfig) -> CovarianceMatrix
     return CovarianceMatrix(OUTPUT_ORDERING, entries)
 
 
+@dataclass(frozen=True, eq=False)
+class MeasuredModel:
+    """Measured covariance over (x_A1, p_A2, x_B1, p_B2) as V_0 + g1 D1 + g2 D2.
+
+    V_0 carries the source flux and the resource; D1 and D2 are the exact,
+    constant derivatives dV_r/dg1 and dV_r/dg2. The arrays are read-only.
+    """
+
+    v0: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+
+    @classmethod
+    def from_config(cls, cfg: InterferometerConfig) -> "MeasuredModel":
+        """Model at the config's (epsilon, n_bar, theta); its coherence is not used."""
+        a, b, _, d, _, f = abbreviations(cfg)
+        s = a + b
+        v0 = 0.5 * np.array([[s, 0.0, d, f], [0.0, s, f, -d], [d, f, s, 0.0], [f, -d, 0.0, s]])
+        half_eps = 0.5 * cfg.source.epsilon
+        arrays = (v0, half_eps * _G1_SLOTS, half_eps * _G2_SLOTS)
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(*arrays)
+
+    def covariance(self, g1: float, g2: float) -> np.ndarray:
+        """V_r at coherence (g1, g2); the caller is responsible for |g| <= 1."""
+        return self.v0 + g1 * self.d1 + g2 * self.d2
+
+
 def reduced_covariance_closed(cfg: InterferometerConfig) -> CovarianceMatrix:
     """Measured-quadrature covariance over (x_A1, p_A2, x_B1, p_B2), closed form."""
-    a, b, c, d, e, f = abbreviations(cfg)
-    entries = 0.5 * np.array(
-        [
-            [a + b, 0.0, c + d, e + f],
-            [0.0, a + b, -e + f, c - d],
-            [c + d, -e + f, a + b, 0.0],
-            [e + f, c - d, 0.0, a + b],
-        ]
-    )
+    entries = cfg.model.covariance(cfg.source.g1, cfg.source.g2)
     return CovarianceMatrix(MEASURED_ORDERING, entries)
 
 

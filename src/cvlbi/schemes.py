@@ -93,6 +93,11 @@ class SchemeCurve:
         return np.array([p[1] for p in self.points])
 
 
+def _check_scheme(scheme) -> None:
+    if not isinstance(scheme, SchemeId):
+        raise ValidationError(f"unknown scheme {scheme!r}; expected a SchemeId member")
+
+
 def rate_factor(scheme: SchemeId, delta_nu: float) -> float:
     """Successful measurements per unit time; delta_nu for every scheme.
 
@@ -100,8 +105,7 @@ def rate_factor(scheme: SchemeId, delta_nu: float) -> float:
     identifiable failures without losing channel uses, so under equal bandwidths
     all schemes accumulate measurements at the same rate.
     """
-    if scheme not in SchemeId:
-        raise ValidationError(f"unknown scheme {scheme!r}")
+    _check_scheme(scheme)
     if not (math.isfinite(delta_nu) and delta_nu > 0.0):
         raise ValidationError("delta_nu must be > 0")
     return float(delta_nu)
@@ -109,6 +113,7 @@ def rate_factor(scheme: SchemeId, delta_nu: float) -> float:
 
 def single_shot_bound(scheme: SchemeId, eps: float) -> float:
     """Lowest-order single-shot trace-norm bound for one scheme."""
+    _check_scheme(scheme)
     if not (math.isfinite(eps) and 0.0 < eps <= 1.0):
         raise ValidationError("eps must be in (0, 1]")
     coeff, power = _BOUND_COEFF_POWER[scheme]

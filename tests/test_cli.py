@@ -227,6 +227,23 @@ class TestExitCodes:
         assert code == 3
         assert "singular" in err
 
+    def test_convergence_failure_exits_3(self, capsys, monkeypatch):
+        import cvlbi.estimate as estimate_module
+
+        monkeypatch.setattr(estimate_module, "MAX_ITERATIONS", 1)
+        code, out, err = run_cli(
+            capsys, "estimate", "--g1", "0.3", "--shots", "1000", "--replications", "30"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: MLE did not converge")
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "state", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: output: ")
+        assert not target.exists()
+
 
 class TestProcessInterface:
     def test_module_entry_point(self):
@@ -243,6 +260,12 @@ class TestProcessInterface:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, cvlbi; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_missing_subcommand_exits_2(self):
         proc = subprocess.run(

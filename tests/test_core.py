@@ -15,7 +15,6 @@ from cvlbi.core import (
     check_physicality,
     direct_sum,
     gaussian_log_pdf,
-    gaussian_log_pdf_rows,
     matrix_exponential,
     permute_modes,
     reduce,
@@ -311,13 +310,14 @@ class TestGaussianLogPdf:
     def test_standard_normal_at_origin(self):
         v = vacuum_covariance("A1", "B1")
         assert math.isclose(
-            gaussian_log_pdf(v, np.zeros(4)), -2.0 * math.log(2.0 * math.pi), rel_tol=1e-14
+            gaussian_log_pdf(v, np.zeros((1, 4)))[0], -2.0 * math.log(2.0 * math.pi), rel_tol=1e-14
         )
 
     def test_standard_normal_unit_point(self):
         v = vacuum_covariance("A1", "B1")
         expected = -2.0 * math.log(2.0 * math.pi) - 0.5
-        assert math.isclose(gaussian_log_pdf(v, np.array([1.0, 0, 0, 0])), expected, rel_tol=1e-14)
+        log_p = gaussian_log_pdf(v, np.array([[1.0, 0, 0, 0]]))[0]
+        assert math.isclose(log_p, expected, rel_tol=1e-14)
 
     def test_monte_carlo_normalization(self):
         # importance sampling against an independently normalized proposal
@@ -330,7 +330,7 @@ class TestGaussianLogPdf:
         rng = np.random.default_rng(RNG_SEED + 6)
         z = rng.standard_normal((200_000, 4))
         x = z @ chol_q.T
-        log_p = gaussian_log_pdf_rows(v_r, x)
+        log_p = gaussian_log_pdf(v_r, x)
         log_q = (
             -0.5 * np.sum(z * z, axis=1)
             - np.sum(np.log(np.diag(chol_q)))
@@ -339,29 +339,21 @@ class TestGaussianLogPdf:
         integral = float(np.mean(np.exp(log_p - log_q)))
         assert abs(integral - 1.0) <= 0.01
 
-    def test_rows_match_scalar(self):
-        v = astronomical_covariance(SourceParams(0.3, 0.5, -0.2))
-        rng = np.random.default_rng(RNG_SEED + 7)
-        xs = rng.standard_normal((10, 4))
-        batch = gaussian_log_pdf_rows(v, xs)
-        for i in range(10):
-            assert math.isclose(batch[i], gaussian_log_pdf(v, xs[i]), rel_tol=1e-12)
-
     def test_singular_rejected(self):
         entries = np.diag([1.0, 1.0, 1.0, 1e-14])
         v = CovarianceMatrix(QuadratureOrdering.selection(["x_A1", "p_A2", "x_B1", "p_B2"]), entries)
         with pytest.raises(NumericalError, match="condition"):
-            gaussian_log_pdf(v, np.zeros(4))
+            gaussian_log_pdf(v, np.zeros((1, 4)))
 
     def test_non_positive_definite_rejected(self):
         entries = np.diag([1.0, 1.0, 1.0, -1.0])
         v = CovarianceMatrix(QuadratureOrdering.selection(["x_A1", "p_A2", "x_B1", "p_B2"]), entries)
         with pytest.raises(NumericalError, match="positive definite"):
-            gaussian_log_pdf(v, np.zeros(4))
+            gaussian_log_pdf(v, np.zeros((1, 4)))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            gaussian_log_pdf(vacuum_covariance("A1"), np.zeros(4))
+            gaussian_log_pdf(vacuum_covariance("A1"), np.zeros((1, 4)))
 
 
 class TestCheckPhysicality:

@@ -62,7 +62,7 @@ class TestLogLikelihood:
     def test_matches_summed_pointwise_density(self):
         record = sample_records(CFG_COHERENT, 200, seed=12)
         v = reduced_covariance_closed(CFG_COHERENT)
-        direct = sum(gaussian_log_pdf(v, row) for row in record.outcomes)
+        direct = float(np.sum(gaussian_log_pdf(v, record.outcomes)))
         fast = log_likelihood(record, 0.3, 0.1)
         assert math.isclose(fast, direct, rel_tol=1e-12)
 
@@ -78,6 +78,15 @@ class TestLogLikelihood:
         record = sample_records(CFG, 10, seed=0)
         with pytest.raises(ValidationError, match=r"\|g\|"):
             log_likelihood(record, 0.9, 0.9)
+
+    @pytest.mark.parametrize(
+        "g", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)]
+    )
+    @pytest.mark.parametrize("fn", [log_likelihood, log_likelihood_gradient])
+    def test_non_finite_coherence_rejected(self, fn, g):
+        record = sample_records(CFG, 10, seed=0)
+        with pytest.raises(ValidationError, match="finite"):
+            fn(record, *g)
 
     def test_gradient_vanishes_at_maximizer(self):
         record = sample_records(CFG_COHERENT, 50_000, seed=21)
@@ -134,6 +143,34 @@ class TestMle:
             mle(record)
         best = excinfo.value.best
         assert best is not None and math.hypot(*best) <= 1.0 + 1e-12
+
+
+class TestBoundaryRootFinder:
+    def test_matches_scipy_brentq_bitwise(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        from cvlbi.estimate import _brentq
+
+        rng = np.random.default_rng(77)
+        checked = 0
+        while checked < 500:
+            c = rng.standard_normal(4)
+            fns = (
+                lambda x: math.sin(c[0] * x + c[1]) + 0.5 * c[2],
+                lambda x: c[0] * x**3 + c[1] * x**2 + c[2] * x + c[3],
+                lambda x: math.atan(10.0 * c[0] * (x - c[1])) + 1e-3 * c[2],
+            )
+            f = fns[checked % 3]
+            a, b = sorted(rng.uniform(-4.0, 4.0, size=2))
+            if f(a) * f(b) >= 0.0:
+                continue
+            assert _brentq(f, a, b, xtol=1e-15) == optimize.brentq(f, a, b, xtol=1e-15)
+            checked += 1
+
+    def test_same_sign_bracket_rejected(self):
+        from cvlbi.estimate import _brentq
+
+        with pytest.raises(ValidationError):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15)
 
 
 class TestCrbExperiment:

@@ -10,13 +10,17 @@ from cvlbi.fisher import (
     LIMIT_INFINITY,
     LIMIT_ZERO,
     FisherMatrix,
-    dv_dg,
     fisher_analytic,
     fisher_limit_closed_form,
     fisher_monte_carlo,
     score_vectors,
 )
-from cvlbi.interferometer import InterferometerConfig, reduced_covariance_closed
+from cvlbi.interferometer import (
+    InterferometerConfig,
+    MeasuredModel,
+    reduced_covariance,
+    reduced_covariance_closed,
+)
 from cvlbi.states import SourceParams, TmsvParams
 
 RNG_SEED = 91117
@@ -50,37 +54,42 @@ class TestFisherMatrixType:
 
 
 class TestCovarianceDerivatives:
+    """D1 and D2 of the measured model are the exact derivatives dV_r/dg."""
+
     def test_slot_pattern(self):
         cfg = InterferometerConfig.from_values(0.1, 0.3, -0.2, n_bar=2.0, theta=1.0)
-        d1, d2 = dv_dg(cfg)
+        model = MeasuredModel.from_config(cfg)
         expected_d1 = np.zeros((4, 4))
         expected_d1[0, 2] = expected_d1[2, 0] = 0.05
         expected_d1[1, 3] = expected_d1[3, 1] = 0.05
         expected_d2 = np.zeros((4, 4))
         expected_d2[0, 3] = expected_d2[3, 0] = 0.05
         expected_d2[1, 2] = expected_d2[2, 1] = -0.05
-        assert np.array_equal(d1, expected_d1)
-        assert np.array_equal(d2, expected_d2)
+        assert np.array_equal(model.d1, expected_d1)
+        assert np.array_equal(model.d2, expected_d2)
 
     def test_independent_of_coherence_and_squeezing(self):
-        d1a, d2a = dv_dg(InterferometerConfig.from_values(0.4, 0.0, 0.0, n_bar=0.0))
-        d1b, d2b = dv_dg(InterferometerConfig.from_values(0.4, 0.9, -0.3, n_bar=7.0, theta=2.0))
-        assert np.array_equal(d1a, d1b) and np.array_equal(d2a, d2b)
+        a = MeasuredModel.from_config(InterferometerConfig.from_values(0.4, 0.0, 0.0, n_bar=0.0))
+        b = MeasuredModel.from_config(
+            InterferometerConfig.from_values(0.4, 0.9, -0.3, n_bar=7.0, theta=2.0)
+        )
+        assert np.array_equal(a.d1, b.d1) and np.array_equal(a.d2, b.d2)
 
     def test_matches_central_differences(self):
+        # differentiate the independent 8x8 pipeline, not the model itself
         h = 1e-6
         cfg = InterferometerConfig.from_values(0.3, 0.2, 0.1, n_bar=1.5, theta=0.7)
-        d1, d2 = dv_dg(cfg)
+        model = MeasuredModel.from_config(cfg)
 
         def v_at(g1, g2):
-            return reduced_covariance_closed(
+            return reduced_covariance(
                 InterferometerConfig.from_values(0.3, g1, g2, n_bar=1.5, theta=0.7)
-            ).entries
+            ).v_r_pipeline.entries
 
         fd1 = (v_at(0.2 + h, 0.1) - v_at(0.2 - h, 0.1)) / (2 * h)
         fd2 = (v_at(0.2, 0.1 + h) - v_at(0.2, 0.1 - h)) / (2 * h)
-        assert np.max(np.abs(fd1 - d1)) <= 1e-8
-        assert np.max(np.abs(fd2 - d2)) <= 1e-8
+        assert np.max(np.abs(fd1 - model.d1)) <= 1e-8
+        assert np.max(np.abs(fd2 - model.d2)) <= 1e-8
 
 
 class TestFisherAnalytic:

@@ -3,11 +3,13 @@
 import math
 
 import numpy as np
+import pytest
 
 from cvlbi.core import symplectic_form
 from cvlbi.interferometer import (
     InterferometerConfig,
     MEASURED_ORDERING,
+    MeasuredModel,
     OUTPUT_ORDERING,
     PRODUCT_ORDERING,
     PRODUCT_TO_OUTPUT_PERMUTATION,
@@ -151,6 +153,39 @@ class TestReducedCovariance:
             v = reduced_covariance_closed(random_config(rng)).entries
             np.linalg.cholesky(v)  # raises if not positive definite
             assert np.linalg.det(v) > 0.0
+
+
+class TestMeasuredModel:
+    def test_linear_in_coherence_against_pipeline(self):
+        # one model per (eps, n_bar, theta) reproduces the pipeline at any coherence
+        rng = np.random.default_rng(RNG_SEED + 5)
+        worst = 0.0
+        for _ in range(200):
+            cfg = random_config(rng)
+            src = cfg.source
+            model = InterferometerConfig.from_values(
+                src.epsilon, n_bar=cfg.resource.n_bar, theta=cfg.resource.theta
+            ).model
+            pipeline = reduced_covariance(cfg).v_r_pipeline.entries
+            gap = np.max(np.abs(model.covariance(src.g1, src.g2) - pipeline))
+            worst = max(worst, gap / max(1.0, float(np.max(np.abs(pipeline)))))
+        assert worst <= 1e-12
+
+    def test_closed_form_is_the_model(self):
+        cfg = InterferometerConfig.from_values(0.3, -0.4, 0.5, n_bar=2.0, theta=4.0)
+        expected = cfg.model.v0 - 0.4 * cfg.model.d1 + 0.5 * cfg.model.d2
+        assert np.array_equal(reduced_covariance_closed(cfg).entries, expected)
+
+    def test_built_once_per_config(self):
+        cfg = InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1.0)
+        assert cfg.model is cfg.model
+        assert isinstance(cfg.model, MeasuredModel)
+
+    def test_arrays_read_only(self):
+        model = MeasuredModel.from_config(InterferometerConfig.from_values(0.1))
+        for array in (model.v0, model.d1, model.d2):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
 
 class TestSymmetries:

@@ -37,6 +37,16 @@ class TestRateFactor:
             rate_factor(SchemeId.DD, -1.0)
 
 
+class TestUnknownScheme:
+    def test_rate_factor_names_scheme(self):
+        with pytest.raises(ValidationError, match="'DD'"):
+            rate_factor("DD", 1.0)
+
+    def test_single_shot_bound_names_scheme(self):
+        with pytest.raises(ValidationError, match="'DD'"):
+            single_shot_bound("DD", 0.1)
+
+
 class TestSingleShotBound:
     @pytest.mark.parametrize(
         "scheme,eps,expected",
