@@ -8,9 +8,12 @@ bound F^-1 / M.
 
 The likelihood and its gradient depend on the data only through the empirical
 second-moment matrix, so each optimizer step costs a few 4x4 operations no
-matter how many shots a record holds. Replication seeds are spawned from the
-master seed with ``numpy.random.SeedSequence``, making multi-replication runs
-reproducible across machines. The choice of maximum likelihood is this
+matter how many shots a record holds. The replications of the CRB experiment
+are fitted in lockstep: each optimizer round evaluates the pending points of
+every start of every replication in one stacked 4x4 likelihood call, with the
+same bits as fitting the records one by one. Replication seeds are spawned
+from the master seed with ``numpy.random.SeedSequence``, making
+multi-replication runs reproducible across machines. The choice of maximum likelihood is this
 package's, it is standard but not imposed by the problem; result records are
 labeled accordingly.
 """
@@ -25,8 +28,8 @@ import numpy as np
 
 from .core import ConvergenceError, ValidationError
 from .fisher import _measured_covariance, fisher_analytic
-from .interferometer import InterferometerConfig
-from .states import G_NORM_SLACK
+from .interferometer import InterferometerConfig, MeasuredModel
+from .states import _check_disk
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -102,6 +105,8 @@ class EstimateResult:
     min_eig_slack: float
     crb_respected: bool
     boundary_count: int
+    #: per-replication fits, in replication order
+    fits: tuple[MleResult, ...]
 
     def to_json_dict(self) -> dict:
         src, res = self.config.source, self.config.resource
@@ -151,44 +156,45 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     return MeasurementRecord(outcomes=out, seed=int(seed_value), config=cfg)
 
 
-def _mean_nll_and_grad(record: MeasurementRecord, g: np.ndarray):
-    """Per-shot negative log-likelihood and its gradient in (g1, g2).
+def _nll_and_grad(model: MeasuredModel, s: np.ndarray, g: np.ndarray):
+    """Per-shot negative log-likelihood and its gradient in (g1, g2), row by row.
 
-    nll(g) = (log det V(g) + tr(V(g)^-1 S) + 4 log 2pi) / 2 with S the empirical
-    second moment; the gradient uses the same trace algebra as the Fisher score.
+    Row i takes the second moment s[i] (n x 4 x 4) at the coherence g[i] (n x 2):
+    nll = (log det V + tr(V^-1 S) + 4 log 2pi) / 2 with V = V_r(g[i]), and the
+    gradient uses the same trace algebra as the Fisher score. Returns (values[n],
+    grads[n, 2]). The stacked LAPACK and BLAS calls give every row the bits of
+    the one-matrix call, so how points are batched never changes a result.
     """
-    model = record.config.model
-    v = model.covariance(float(g[0]), float(g[1]))
-    s = record.second_moment
+    v = model.covariance(g[:, 0, None, None], g[:, 1, None, None])
     chol = np.linalg.cholesky(v)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
     v_inv = np.linalg.inv(v)
-    value = 0.5 * (logdet + float(np.trace(v_inv @ s)) + 4.0 * LOG_2PI)
-    grad = np.empty(2)
+    values = 0.5 * (logdet + np.trace(v_inv @ s, axis1=1, axis2=2) + 4.0 * LOG_2PI)
+    grads = np.empty((len(g), 2))
     for k, dk in enumerate((model.d1, model.d2)):
         a = v_inv @ dk
-        grad[k] = 0.5 * (float(np.trace(a)) - float(np.trace(a @ v_inv @ s)))
-    return value, grad
-
-
-def _check_disk(g1: float, g2: float) -> None:
-    # written so that NaN fails the comparison and is rejected with infinities
-    if not g1 * g1 + g2 * g2 <= 1.0 + G_NORM_SLACK:
-        raise ValidationError(f"need finite g with |g| <= 1 (g1={g1}, g2={g2})")
+        grads[:, k] = 0.5 * (
+            np.trace(a, axis1=1, axis2=2) - np.trace(a @ v_inv @ s, axis1=1, axis2=2)
+        )
+    return values, grads
 
 
 def log_likelihood(record: MeasurementRecord, g1: float, g2: float) -> float:
     """Total log-likelihood of the record at coherence (g1, g2); |g| <= 1 required."""
     _check_disk(g1, g2)
-    value, _ = _mean_nll_and_grad(record, np.array([g1, g2]))
-    return -record.shots * value
+    values, _ = _nll_and_grad(
+        record.config.model, record.second_moment[None], np.array([[g1, g2]])
+    )
+    return -record.shots * float(values[0])
 
 
 def log_likelihood_gradient(record: MeasurementRecord, g1: float, g2: float) -> np.ndarray:
     """Gradient of the total log-likelihood in (g1, g2)."""
     _check_disk(g1, g2)
-    _, grad = _mean_nll_and_grad(record, np.array([g1, g2]))
-    return -record.shots * grad
+    _, grads = _nll_and_grad(
+        record.config.model, record.second_moment[None], np.array([[g1, g2]])
+    )
+    return -record.shots * grads[0]
 
 
 def _project_disk(g: np.ndarray) -> np.ndarray:
@@ -291,8 +297,13 @@ def _boundary_polish(fun_grad, x: np.ndarray, f: float, grad: np.ndarray):
     return x, f, grad
 
 
-def _projected_bfgs(fun_grad, x0: np.ndarray):
+def _projected_bfgs(x0: np.ndarray, fun_grad):
     """Minimize over the closed unit disk: BFGS directions, projected steps.
+
+    A generator: it yields each point it needs evaluated and is sent (f, grad)
+    at that point, so one caller can evaluate the points of many runs in one
+    stacked call; it returns (x, f, pg_norm, iterations). The boundary
+    refinement evaluates through ``fun_grad`` directly.
 
     Convergence is declared when the projected-gradient displacement
     ||x - proj(x - grad)|| falls below GRADIENT_TOL (the plain gradient norm at
@@ -300,7 +311,7 @@ def _projected_bfgs(fun_grad, x0: np.ndarray):
     Raises ConvergenceError with the best iterate after MAX_ITERATIONS.
     """
     x = _project_disk(np.asarray(x0, dtype=float))
-    f, grad = fun_grad(x)
+    f, grad = yield x
     h = np.eye(2)
     for iteration in range(MAX_ITERATIONS):
         pg = x - _project_disk(x - grad)
@@ -321,7 +332,7 @@ def _projected_bfgs(fun_grad, x0: np.ndarray):
         x_new = f_new = grad_new = None
         while step > 1e-20:
             candidate = _project_disk(x + step * direction)
-            f_cand, g_cand = fun_grad(candidate)
+            f_cand, g_cand = yield candidate
             # Armijo on the projected displacement; the strict decrease guards
             # against accepting zero-progress steps on the float plateau
             if f_cand < f and f_cand <= f + 1e-4 * float(grad @ (candidate - x)):
@@ -349,14 +360,78 @@ def _projected_bfgs(fun_grad, x0: np.ndarray):
 
 def moment_initializer(record: MeasurementRecord) -> tuple[float, float]:
     """Method-of-moments starting point from the empirical second moment."""
-    s = record.second_moment
-    eps = record.config.source.epsilon
+    return _moment_start(record.second_moment, record.config.source.epsilon)
+
+
+def _moment_start(s: np.ndarray, eps: float) -> tuple[float, float]:
     g1 = (s[0, 2] + s[1, 3]) / eps
     g2 = (s[0, 3] - s[1, 2]) / eps
     norm = math.hypot(g1, g2)
     if norm > 0.999:
         g1, g2 = g1 * 0.999 / norm, g2 * 0.999 / norm
     return (g1, g2)
+
+
+def _mle_lockstep(
+    cfg: InterferometerConfig, moments: np.ndarray, shots: int
+) -> tuple[MleResult, ...]:
+    """Maximum likelihood for each record's second moment in ``moments`` (R x 4 x 4).
+
+    Every start of every record runs in lockstep: each round evaluates all
+    pending points in one stacked likelihood call and sends the results back.
+    Per record, the first start wins a tie. A ConvergenceError is raised for the
+    first failing (record, start) in that order, the one a record-by-record
+    loop would raise.
+    """
+    model, eps = cfg.model, cfg.source.epsilon
+    owners, runs = [], []
+    for i, s in enumerate(moments):
+
+        def fun_grad(g, s=s):
+            values, grads = _nll_and_grad(model, s[None], g[None])
+            return values[0], grads[0]
+
+        starts = [np.zeros(2), np.array(_moment_start(s, eps))]
+        if np.linalg.norm(starts[1] - starts[0]) < 1e-12:
+            starts = starts[:1]
+        for x0 in starts:
+            owners.append(i)
+            runs.append(_projected_bfgs(x0, fun_grad))
+
+    pending = {k: next(run) for k, run in enumerate(runs)}
+    finals, failures = {}, {}
+    while pending:
+        keys = list(pending)
+        values, grads = _nll_and_grad(
+            model, moments[[owners[k] for k in keys]], np.array([pending[k] for k in keys])
+        )
+        for k, f, grad in zip(keys, values, grads):
+            try:
+                pending[k] = runs[k].send((f, grad))
+            except StopIteration as done:
+                finals[k] = done.value
+                del pending[k]
+            except ConvergenceError as exc:
+                failures[k] = exc
+                del pending[k]
+    if failures:
+        raise failures[min(failures)]
+
+    best = [None] * len(moments)
+    for k, i in enumerate(owners):
+        if best[i] is None or finals[k][1] < best[i][1]:
+            best[i] = finals[k]
+    return tuple(
+        MleResult(
+            g1=float(x[0]),
+            g2=float(x[1]),
+            log_likelihood=-shots * float(f),
+            gradient_norm=pg_norm,
+            iterations=iterations,
+            on_boundary=math.hypot(x[0], x[1]) >= 1.0 - 1e-9,
+        )
+        for x, f, pg_norm, iterations in best
+    )
 
 
 def mle(record: MeasurementRecord) -> MleResult:
@@ -367,25 +442,7 @@ def mle(record: MeasurementRecord) -> MleResult:
     tolerance applies to the per-shot mean log-likelihood, which keeps it
     meaningful across record sizes.
     """
-    starts = [np.zeros(2), np.array(moment_initializer(record))]
-    if np.linalg.norm(starts[1] - starts[0]) < 1e-12:
-        starts = starts[:1]
-    best = None
-    for x0 in starts:
-        x, f, pg_norm, iterations = _projected_bfgs(
-            lambda g: _mean_nll_and_grad(record, g), x0
-        )
-        if best is None or f < best[1]:
-            best = (x, f, pg_norm, iterations)
-    x, f, pg_norm, iterations = best
-    return MleResult(
-        g1=float(x[0]),
-        g2=float(x[1]),
-        log_likelihood=-record.shots * f,
-        gradient_norm=pg_norm,
-        iterations=iterations,
-        on_boundary=math.hypot(x[0], x[1]) >= 1.0 - 1e-9,
-    )
+    return _mle_lockstep(record.config, record.second_moment[None], record.shots)[0]
 
 
 def crb_experiment(
@@ -393,10 +450,12 @@ def crb_experiment(
 ) -> EstimateResult:
     """Replicated MLE spread versus the Cramer-Rao bound F^-1 / M.
 
-    Each replication samples a fresh record from a spawned child seed and
-    estimates (g1, g2); the empirical covariance across replications is compared
-    with the CRB. The efficiency window and the minimum-eigenvalue check are
-    reported as flags, not raised as errors (finite-sample misses are data).
+    Each replication samples a fresh record from a spawned child seed and keeps
+    its second moment; all replications are then fitted as ``mle`` fits one
+    record, in lockstep. The empirical covariance of the estimates across
+    replications is compared with the CRB. The efficiency window and the
+    minimum-eigenvalue check are reported as flags, not raised as errors
+    (finite-sample misses are data).
 
     The minimum-eigenvalue slack is three times the largest standard error of
     the sample-covariance entries, se(S_ij) = sqrt((S_ii S_jj + S_ij^2)/(R-1)),
@@ -407,13 +466,10 @@ def crb_experiment(
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     children = np.random.SeedSequence(seed).spawn(replications)
-    estimates = np.empty((replications, 2))
-    boundary_count = 0
-    for i, child in enumerate(children):
-        record = sample_records(cfg, shots, child)
-        result = mle(record)
-        estimates[i] = result.g
-        boundary_count += int(result.on_boundary)
+    # only the sufficient statistic outlives each record, so memory does not grow with R
+    moments = np.stack([sample_records(cfg, shots, child).second_moment for child in children])
+    fits = _mle_lockstep(cfg, moments, shots)
+    estimates = np.array([fit.g for fit in fits])
 
     cov_hat = np.cov(estimates.T, ddof=1)
     cov_hat = (cov_hat + cov_hat.T) / 2.0
@@ -439,5 +495,6 @@ def crb_experiment(
         min_eig_gap=min_eig_gap,
         min_eig_slack=slack,
         crb_respected=min_eig_gap >= -slack,
-        boundary_count=boundary_count,
+        boundary_count=sum(fit.on_boundary for fit in fits),
+        fits=fits,
     )

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import ValidationError, _check_positive_definite
 from .interferometer import InterferometerConfig, MeasuredModel
+from .states import _check_disk
 
 PSD_FLOOR = -1e-9
 
@@ -185,9 +186,8 @@ def fisher_limit_closed_form(
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValidationError("epsilon must be > 0")
+    _check_disk(g1, g2)
     g_sq = g1 * g1 + g2 * g2
-    if g_sq > 1.0 + 1e-12:
-        raise ValidationError(f"|g| <= 1 violated (|g|^2={g_sq})")
     eps_sq = eps * eps
     if which == LIMIT_ZERO:
         prefactor = (math.sqrt(2.0) * eps / (4.0 + 4.0 * eps - (g_sq - 1.0) * eps_sq)) ** 2

@@ -187,8 +187,11 @@ class MeasuredModel:
             array.flags.writeable = False
         return cls(*arrays)
 
-    def covariance(self, g1: float, g2: float) -> np.ndarray:
-        """V_r at coherence (g1, g2); the caller is responsible for |g| <= 1."""
+    def covariance(self, g1, g2) -> np.ndarray:
+        """V_r at coherence (g1, g2); the caller is responsible for |g| <= 1.
+
+        g1 and g2 may be arrays of shape (n, 1, 1), giving a stack of n matrices.
+        """
         return self.v0 + g1 * self.d1 + g2 * self.d2
 
 

@@ -33,6 +33,12 @@ ASTRO_ORDERING = QuadratureOrdering.interleaved("A1", "B1")
 TMSV_ORDERING = QuadratureOrdering.interleaved("A2", "B2")
 
 
+def _check_disk(g1: float, g2: float) -> None:
+    # written so that NaN fails the comparison and is rejected with infinities
+    if not g1 * g1 + g2 * g2 <= 1.0 + G_NORM_SLACK:
+        raise ValidationError(f"need finite g with |g| <= 1 (g1={g1}, g2={g2})")
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Astronomical-state parameters: photon flux epsilon and mutual coherence g.

@@ -4,17 +4,36 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from cvlbi.cli import main
 from cvlbi.serialize import json_dumps
 
 FISHER_DIAG_VACUUM = 2.0 * 0.1**2 / (4.0 + 4.0 * 0.1 + 0.1**2)
 
+#: default stdout captured by the benchmark, one file per argv below (read only)
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
+GOLDEN_ARGV = {
+    "state": ["state"],
+    "fisher": ["fisher"],
+    "compare": ["compare"],
+    "estimate": ["estimate", "--shots", "1000", "--replications", "30", "--seed", "0"],
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_ARGV))
+def test_default_stdout_is_byte_identical_to_golden(capsys, name):
+    code, out, err = run_cli(capsys, *GOLDEN_ARGV[name])
+    assert code == 0, err
+    assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
 
 
 class TestStateCommand:

@@ -1,13 +1,18 @@
 """Tests for sampling, likelihood, maximum likelihood, and the CRB experiment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cvlbi.core import ValidationError, gaussian_log_pdf
+import cvlbi.estimate as estimate_module
+from cvlbi.core import ConvergenceError, ValidationError, gaussian_log_pdf
 from cvlbi.estimate import (
+    LOG_2PI,
     MeasurementRecord,
+    _nll_and_grad,
+    _projected_bfgs,
     crb_experiment,
     log_likelihood,
     log_likelihood_gradient,
@@ -20,6 +25,65 @@ from cvlbi.interferometer import InterferometerConfig, reduced_covariance_closed
 
 CFG = InterferometerConfig.from_values(0.1, 0.0, 0.0, n_bar=1.0, theta=0.0)
 CFG_COHERENT = InterferometerConfig.from_values(0.2, 0.3, 0.1, n_bar=1.0, theta=0.0)
+
+#: (config, shots, replications): the benchmark's crb config, the CLI default,
+#: and a config where most replications end on the boundary of the disk
+LOCKSTEP_CASES = {
+    "crb": (InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1.0, theta=0.0), 10_000, 100),
+    "cli-default": (CFG, 10_000, 100),
+    "boundary": (InterferometerConfig.from_values(0.05, 0.9, 0.3, n_bar=3.0, theta=1.0), 500, 60),
+}
+
+
+def one_matrix_nll_and_grad(model, s, g):
+    """Reference: the likelihood and gradient of one 4x4 matrix, one trace at a time."""
+    v = model.covariance(float(g[0]), float(g[1]))
+    chol = np.linalg.cholesky(v)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    v_inv = np.linalg.inv(v)
+    value = 0.5 * (logdet + float(np.trace(v_inv @ s)) + 4.0 * LOG_2PI)
+    grad = np.empty(2)
+    for k, dk in enumerate((model.d1, model.d2)):
+        a = v_inv @ dk
+        grad[k] = 0.5 * (float(np.trace(a)) - float(np.trace(a @ v_inv @ s)))
+    return value, grad
+
+
+def sequential_mle(record):
+    """Reference: mle as a plain loop, each start run to its end in turn on the
+    one-matrix evaluator; the better final value wins, the first start on a tie."""
+    model, s = record.config.model, record.second_moment
+
+    def fun_grad(g):
+        return one_matrix_nll_and_grad(model, s, g)
+
+    starts = [np.zeros(2), np.array(moment_initializer(record))]
+    if np.linalg.norm(starts[1] - starts[0]) < 1e-12:
+        starts = starts[:1]
+    best = None
+    for x0 in starts:
+        run = _projected_bfgs(x0, fun_grad)
+        point = next(run)
+        try:
+            while True:
+                point = run.send(fun_grad(point))
+        except StopIteration as done:
+            x, f, pg_norm, iterations = done.value
+        if best is None or f < best[1]:
+            best = (x, f, pg_norm, iterations)
+    x, f, pg_norm, iterations = best
+    on_boundary = math.hypot(x[0], x[1]) >= 1.0 - 1e-9
+    return (float(x[0]), float(x[1]), -record.shots * f, pg_norm, iterations, on_boundary)
+
+
+def fit_fields(fit):
+    return (fit.g1, fit.g2, fit.log_likelihood, fit.gradient_norm, fit.iterations, fit.on_boundary)
+
+
+def record_by_record(fit, cfg, shots, replications, seed):
+    """``fit`` on each replication's record in turn, as crb_experiment spawns them."""
+    children = np.random.SeedSequence(seed).spawn(replications)
+    return [fit(sample_records(cfg, shots, child)) for child in children]
 
 
 class TestSampling:
@@ -97,6 +161,22 @@ class TestLogLikelihood:
         assert not result.on_boundary
 
 
+class TestStackedEvaluator:
+    def test_rows_equal_the_one_matrix_reference_bitwise(self):
+        rng = np.random.default_rng(3)
+        model = CFG_COHERENT.model
+        moments = np.stack([sample_records(CFG_COHERENT, 50, seed=i).second_moment for i in range(40)])
+        radius = np.sqrt(rng.uniform(0.0, 1.0, 40))
+        phase = rng.uniform(0.0, 2.0 * math.pi, 40)
+        g = np.column_stack([radius * np.cos(phase), radius * np.sin(phase)])
+        g[0] = (1.0, 0.0)  # on the circle
+        values, grads = _nll_and_grad(model, moments, g)
+        for i in range(40):
+            value, grad = one_matrix_nll_and_grad(model, moments[i], g[i])
+            assert values[i] == value
+            assert np.array_equal(grads[i], grad)
+
+
 class TestMle:
     def test_large_record_consistency(self):
         cfg = InterferometerConfig.from_values(0.2, 0.3, 0.1, n_bar=5.0, theta=0.0)
@@ -134,9 +214,6 @@ class TestMle:
         assert math.hypot(g1 - 0.3, g2 - 0.1) <= 0.05
 
     def test_exhausted_iteration_budget_carries_best_iterate(self, monkeypatch):
-        import cvlbi.estimate as estimate_module
-        from cvlbi.core import ConvergenceError
-
         monkeypatch.setattr(estimate_module, "MAX_ITERATIONS", 1)
         record = sample_records(CFG_COHERENT, 5000, seed=13)
         with pytest.raises(ConvergenceError) as excinfo:
@@ -225,6 +302,46 @@ class TestCrbExperiment:
         ):
             assert key in payload
         assert payload["estimator"] == "mle"
+
+
+class TestLockstepFits:
+    @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+    def test_fits_equal_record_by_record_mle_bitwise(self, case):
+        cfg, shots, replications = LOCKSTEP_CASES[case]
+        result = crb_experiment(cfg, shots, replications, seed=0)
+        fits = [fit_fields(f) for f in result.fits]
+        assert fits == [fit_fields(f) for f in record_by_record(mle, cfg, shots, replications, 0)]
+        assert fits == record_by_record(sequential_mle, cfg, shots, replications, 0)
+        assert result.boundary_count == sum(fit[5] for fit in fits)
+        if case == "boundary":
+            assert result.boundary_count > replications // 2
+
+    # at 3 iterations a later start fails in fewer rounds than the first failing
+    # one on the boundary case; at 13 the first failing replication is a later one
+    @pytest.mark.parametrize("max_iterations", [1, 3, 13])
+    @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+    def test_convergence_error_is_the_record_by_record_loops(self, monkeypatch, case, max_iterations):
+        cfg, shots, replications = LOCKSTEP_CASES[case]
+        monkeypatch.setattr(estimate_module, "MAX_ITERATIONS", max_iterations)
+
+        def raised(call):
+            with pytest.raises(ConvergenceError) as excinfo:
+                call()
+            return str(excinfo.value), excinfo.value.best
+
+        expected = raised(lambda: record_by_record(sequential_mle, cfg, shots, replications, 0))
+        assert raised(lambda: record_by_record(mle, cfg, shots, replications, 0)) == expected
+        assert raised(lambda: crb_experiment(cfg, shots, replications, seed=0)) == expected
+
+    def test_peak_memory_does_not_hold_every_record(self):
+        # one 10k-shot record is 320 KB; keeping all 100 would take 32 MB
+        tracemalloc.start()
+        try:
+            crb_experiment(CFG, shots=10_000, replications=100, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestScoreStatistics:

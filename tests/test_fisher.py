@@ -229,6 +229,14 @@ class TestLimitClosedForms:
         with pytest.raises(ValidationError):
             fisher_limit_closed_form(0.1, 1.0, 1.0, LIMIT_ZERO)
 
+    @pytest.mark.parametrize(
+        "g", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)]
+    )
+    @pytest.mark.parametrize("which", [LIMIT_ZERO, LIMIT_INFINITY])
+    def test_non_finite_coherence_rejected_naming_g(self, which, g):
+        with pytest.raises(ValidationError, match=r"finite g .*\(g1=.*, g2=.*\)"):
+            fisher_limit_closed_form(0.1, *g, which)
+
 
 class TestMonteCarlo:
     CFG = InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1.0, theta=0.0)
