@@ -36,6 +36,9 @@ from .states import astronomical_covariance, tmsv_covariance_closed
 
 FORMAT_CHOICES = ("json", "csv")
 
+#: largest comparison grid; each point becomes one row per scheme in the output
+MAX_EPS_POINTS = 100_000
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -277,8 +280,8 @@ def cmd_fisher(cfg: RunConfig) -> str:
 def _eps_grid(cfg: RunConfig) -> np.ndarray:
     if not (0.0 < cfg.eps_min < cfg.eps_max <= 1.0):
         raise ValidationError("eps grid must satisfy 0 < eps_min < eps_max <= 1")
-    if cfg.eps_points < 2:
-        raise ValidationError("eps_points must be >= 2")
+    if not 2 <= cfg.eps_points <= MAX_EPS_POINTS:
+        raise ValidationError(f"eps_points must be in [2, {MAX_EPS_POINTS}]")
     return np.geomspace(cfg.eps_min, cfg.eps_max, cfg.eps_points)
 
 

@@ -11,12 +11,19 @@ Conventions fixed here and relied on by every other module:
 The literature carries at least three incompatible normalizations (vacuum variance
 1/2, 1, or 2); nothing in this package is compatible with any convention other than
 vacuum = identity.
+
+Validation policy: public constructors validate, and so does any step whose
+arithmetic can overflow (``apply_symplectic``, the state constructors). Exact
+rearrangements (``direct_sum``, ``permute_modes``, ``reduce``) inherit their
+inputs' guarantees: they return fresh read-only copies unchecked, and validate
+each derived ordering once per distinct input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +31,9 @@ SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-9
 PHYSICALITY_THRESHOLD = -1e-9
 CONDITION_LIMIT = 1e12
+
+#: distinct input orderings whose derived orderings the rearrangements remember
+ORDERING_CACHE_SIZE = 64
 
 QUADRATURES = ("x", "p")
 
@@ -74,8 +84,10 @@ class QuadratureOrdering:
     def __post_init__(self):
         labels = tuple(as_label(lbl) for lbl in self.labels)
         object.__setattr__(self, "labels", labels)
-        if len(set(labels)) != len(labels):
+        slots = {lbl: i for i, lbl in enumerate(labels)}
+        if len(slots) != len(labels):
             raise ValidationError(f"duplicate quadrature labels in {self.names}")
+        object.__setattr__(self, "_slots", slots)
         if not self.reduced:
             per_mode: dict[str, set] = {}
             for mode, quad in labels:
@@ -121,8 +133,8 @@ class QuadratureOrdering:
     def index(self, label) -> int:
         lbl = as_label(label)
         try:
-            return self.labels.index(lbl)
-        except ValueError:
+            return self._slots[lbl]
+        except KeyError:
             raise ValidationError(f"label {lbl} not in ordering {self.names}") from None
 
     def is_permutation_of(self, other: "QuadratureOrdering") -> bool:
@@ -145,13 +157,21 @@ class CovarianceMatrix:
         d = self.ordering.dim
         if m.shape != (d, d):
             raise ValidationError(f"entries shape {m.shape} does not match ordering dim {d}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValidationError("covariance entries must be finite")
-        skew = float(np.max(np.abs(m - m.T), initial=0.0))
+        skew = float(np.abs(m - m.T).max(initial=0.0))
         if skew > SYMMETRY_TOL:
             raise ValidationError(f"covariance not symmetric (max |V - V^T| = {skew:.3e})")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
+
+    @classmethod
+    def _derived(cls, ordering: QuadratureOrdering, entries: np.ndarray) -> "CovarianceMatrix":
+        """Wrap a fresh array rearranged exactly from validated matrices, unchecked."""
+        entries.flags.writeable = False
+        out = object.__new__(cls)
+        out.__dict__.update(ordering=ordering, entries=entries)
+        return out
 
     @property
     def dim(self) -> int:
@@ -167,10 +187,11 @@ class PhysicalityReport:
     threshold: float = PHYSICALITY_THRESHOLD
 
 
+@lru_cache(maxsize=16)
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Symplectic form Omega for n modes in xp-interleaved ordering.
 
-    Omega is antisymmetric and squares to -I.
+    Omega is antisymmetric and squares to -I. Built once per n and read-only.
     """
     if n_modes < 1:
         raise ValidationError("n_modes must be >= 1")
@@ -178,23 +199,36 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         omega[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+    omega.flags.writeable = False
     return omega
+
+
+@lru_cache(maxsize=ORDERING_CACHE_SIZE)
+def _sum_ordering(o1: QuadratureOrdering, o2: QuadratureOrdering) -> QuadratureOrdering:
+    common = set(o1.modes) & set(o2.modes)
+    if common:
+        raise ValidationError(f"mode names collide in direct sum: {sorted(common)}")
+    return QuadratureOrdering(o1.labels + o2.labels, reduced=o1.reduced or o2.reduced)
 
 
 def direct_sum(v1: CovarianceMatrix, v2: CovarianceMatrix) -> CovarianceMatrix:
     """Covariance matrix of a product state: block-diagonal over concatenated modes."""
-    common = set(v1.ordering.modes) & set(v2.ordering.modes)
-    if common:
-        raise ValidationError(f"mode names collide in direct sum: {sorted(common)}")
-    d1, d2 = v1.dim, v2.dim
-    entries = np.zeros((d1 + d2, d1 + d2))
+    ordering = _sum_ordering(v1.ordering, v2.ordering)
+    d1 = v1.dim
+    entries = np.zeros((ordering.dim, ordering.dim))
     entries[:d1, :d1] = v1.entries
     entries[d1:, d1:] = v2.entries
-    ordering = QuadratureOrdering(
-        v1.ordering.labels + v2.ordering.labels,
-        reduced=v1.ordering.reduced or v2.ordering.reduced,
-    )
-    return CovarianceMatrix(ordering, entries)
+    return CovarianceMatrix._derived(ordering, entries)
+
+
+@lru_cache(maxsize=ORDERING_CACHE_SIZE)
+def _permutation(source: QuadratureOrdering, target: QuadratureOrdering) -> tuple:
+    if not target.is_permutation_of(source):
+        raise ValidationError(
+            f"target ordering {target.names} is not a permutation of {source.names}"
+        )
+    perm = [source.index(lbl) for lbl in target.labels]
+    return np.ix_(perm, perm)
 
 
 def permute_modes(v: CovarianceMatrix, target: QuadratureOrdering) -> CovarianceMatrix:
@@ -203,13 +237,7 @@ def permute_modes(v: CovarianceMatrix, target: QuadratureOrdering) -> Covariance
     Equivalent to conjugation by the permutation matrix; exact (pure indexing),
     so permute-then-inverse-permute restores the input bit for bit.
     """
-    if not target.is_permutation_of(v.ordering):
-        raise ValidationError(
-            f"target ordering {target.names} is not a permutation of {v.ordering.names}"
-        )
-    perm = [v.ordering.index(lbl) for lbl in target.labels]
-    entries = v.entries[np.ix_(perm, perm)]
-    return CovarianceMatrix(target, entries)
+    return CovarianceMatrix._derived(target, v.entries[_permutation(v.ordering, target)])
 
 
 def apply_symplectic(v: CovarianceMatrix, s: np.ndarray) -> CovarianceMatrix:
@@ -226,7 +254,7 @@ def apply_symplectic(v: CovarianceMatrix, s: np.ndarray) -> CovarianceMatrix:
     if s.shape != (d, d):
         raise ValidationError(f"matrix shape {s.shape} does not match state dim {d}")
     omega = symplectic_form(d // 2)
-    residual = float(np.max(np.abs(s @ omega @ s.T - omega)))
+    residual = float(np.abs(s @ omega @ s.T - omega).max())
     if residual > SYMPLECTIC_TOL:
         raise ValidationError(
             f"matrix is not symplectic: max |S Omega S^T - Omega| = {residual:.3e}"
@@ -277,6 +305,12 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return result
 
 
+@lru_cache(maxsize=ORDERING_CACHE_SIZE)
+def _selection(source: QuadratureOrdering, labels: tuple) -> tuple:
+    idx = [source.index(lbl) for lbl in labels]
+    return QuadratureOrdering.selection(labels), np.ix_(idx, idx)
+
+
 def reduce(v: CovarianceMatrix, keep) -> CovarianceMatrix:
     """Principal submatrix over the quadrature labels in ``keep``, in that order.
 
@@ -286,9 +320,8 @@ def reduce(v: CovarianceMatrix, keep) -> CovarianceMatrix:
     labels = tuple(as_label(lbl) for lbl in keep)
     if labels == v.ordering.labels:
         return v
-    idx = [v.ordering.index(lbl) for lbl in labels]
-    entries = v.entries[np.ix_(idx, idx)]
-    return CovarianceMatrix(QuadratureOrdering.selection(labels), entries)
+    ordering, index = _selection(v.ordering, labels)
+    return CovarianceMatrix._derived(ordering, v.entries[index])
 
 
 def _check_positive_definite(entries: np.ndarray, what: str) -> np.ndarray:

@@ -36,6 +36,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 GRADIENT_TOL = 1e-8
 MAX_ITERATIONS = 500
 MIN_REPLICATIONS = 30
+#: a record holds 32 bytes per shot, so the largest one takes 320 MB
+MAX_SHOTS = 10_000_000
+#: replications keep 128 bytes of moments plus one fit each; run time grows with them
+MAX_REPLICATIONS = 100_000
 
 #: rows generated per chunk when sampling large records
 _SAMPLE_CHUNK = 1 << 20
@@ -142,8 +146,8 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     ``seed`` may be an int or a ``numpy.random.SeedSequence`` (used internally
     for replication splits).
     """
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must be in [1, {MAX_SHOTS}]")
     chol = np.linalg.cholesky(_measured_covariance(cfg))
     rng = np.random.default_rng(seed)
     out = np.empty((shots, 4))
@@ -463,8 +467,10 @@ def crb_experiment(
     """
     if replications < MIN_REPLICATIONS:
         raise ValidationError(f"replications must be >= {MIN_REPLICATIONS}")
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
+    if replications > MAX_REPLICATIONS:
+        raise ValidationError(f"replications must be <= {MAX_REPLICATIONS}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must be in [1, {MAX_SHOTS}]")
     children = np.random.SeedSequence(seed).spawn(replications)
     # only the sufficient statistic outlives each record, so memory does not grow with R
     moments = np.stack([sample_records(cfg, shots, child).second_moment for child in children])

@@ -101,12 +101,10 @@ def beam_splitter_matrix() -> np.ndarray:
     ) / math.sqrt(2.0)
 
 
-def _two_site_beam_splitter() -> np.ndarray:
-    r = beam_splitter_matrix()
-    s = np.zeros((8, 8))
-    s[:4, :4] = r
-    s[4:, 4:] = r
-    return s
+#: one beam splitter per telescope site, on OUTPUT_ORDERING; read-only
+_TWO_SITE_BEAM_SPLITTER = np.zeros((8, 8))
+_TWO_SITE_BEAM_SPLITTER[:4, :4] = _TWO_SITE_BEAM_SPLITTER[4:, 4:] = beam_splitter_matrix()
+_TWO_SITE_BEAM_SPLITTER.flags.writeable = False
 
 
 def abbreviations(cfg: InterferometerConfig) -> tuple[float, float, float, float, float, float]:
@@ -133,7 +131,7 @@ def full_output_covariance(cfg: InterferometerConfig) -> CovarianceMatrix:
         astronomical_covariance(cfg.source), tmsv_covariance_closed(cfg.resource)
     )
     paired = permute_modes(product, OUTPUT_ORDERING)
-    return apply_symplectic(paired, _two_site_beam_splitter())
+    return apply_symplectic(paired, _TWO_SITE_BEAM_SPLITTER)
 
 
 def full_output_covariance_closed(cfg: InterferometerConfig) -> CovarianceMatrix:

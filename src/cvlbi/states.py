@@ -39,6 +39,11 @@ def _check_disk(g1: float, g2: float) -> None:
         raise ValidationError(f"need finite g with |g| <= 1 (g1={g1}, g2={g2})")
 
 
+def _covariance_overflows(n_bar: float) -> bool:
+    # the TMSV cross block scales with sqrt(n_bar (n_bar + 1)); inf there becomes NaN
+    return not math.isfinite(n_bar * (n_bar + 1.0))
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Astronomical-state parameters: photon flux epsilon and mutual coherence g.
@@ -89,6 +94,8 @@ class TmsvParams:
             raise ValidationError("n_bar must be finite")
         if self.n_bar < 0.0:
             raise ValidationError("n_bar must be >= 0")
+        if _covariance_overflows(self.n_bar):
+            raise ValidationError(f"n_bar = {self.n_bar} is too large: the covariance overflows")
         if not math.isfinite(self.theta):
             raise ValidationError("theta must be finite")
         object.__setattr__(self, "theta", self.theta % TWO_PI)
@@ -97,7 +104,13 @@ class TmsvParams:
     def from_r(cls, r: float, theta: float = 0.0) -> "TmsvParams":
         if not math.isfinite(r) or r < 0.0:
             raise ValidationError("squeezing magnitude r must be finite and >= 0")
-        return cls(n_bar=math.sinh(r) ** 2, theta=theta)
+        try:
+            n_bar = math.sinh(r) ** 2
+        except OverflowError:
+            n_bar = math.inf
+        if _covariance_overflows(n_bar):
+            raise ValidationError(f"squeezing magnitude r = {r} overflows the covariance")
+        return cls(n_bar=n_bar, theta=theta)
 
     @property
     def r(self) -> float:
@@ -119,16 +132,10 @@ def astronomical_covariance(params: SourceParams) -> CovarianceMatrix:
         [[eps*g1, -eps*g2],
          [eps*g2,  eps*g1]]
     """
-    eps, g1, g2 = params.epsilon, params.g1, params.g2
-    diag = (eps + 1.0) * np.eye(2)
-    cross = np.array([[eps * g1, -eps * g2], [eps * g2, eps * g1]])
-    entries = np.block([[diag, cross], [cross.T, diag]])
+    eps = params.epsilon
+    a, c, e = eps + 1.0, eps * params.g1, eps * params.g2
+    entries = np.array([[a, 0.0, c, -e], [0.0, a, e, c], [c, e, a, 0.0], [-e, c, 0.0, a]])
     return CovarianceMatrix(ASTRO_ORDERING, entries)
-
-
-def _rotation_zx(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]])
 
 
 def tmsv_covariance_closed(params: TmsvParams) -> CovarianceMatrix:
@@ -138,9 +145,10 @@ def tmsv_covariance_closed(params: TmsvParams) -> CovarianceMatrix:
     2 sqrt(n_bar (n_bar + 1)) (cos(theta) sigma_z + sin(theta) sigma_x).
     """
     n = params.n_bar
-    diag = (2.0 * n + 1.0) * np.eye(2)
-    cross = 2.0 * math.sqrt(n * (n + 1.0)) * _rotation_zx(params.theta)
-    entries = np.block([[diag, cross], [cross, diag]])
+    b = 2.0 * n + 1.0
+    root = 2.0 * math.sqrt(n * (n + 1.0))
+    c, s = root * math.cos(params.theta), root * math.sin(params.theta)
+    entries = np.array([[b, 0.0, c, s], [0.0, b, s, -c], [c, s, b, 0.0], [s, -c, 0.0, b]])
     return CovarianceMatrix(TMSV_ORDERING, entries)
 
 

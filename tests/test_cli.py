@@ -4,6 +4,8 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -262,6 +264,54 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: output: ")
         assert not target.exists()
+
+
+class TestOverflowingSqueezing:
+    @pytest.mark.parametrize("command", ["state", "fisher"])
+    def test_exits_2_naming_n_bar_without_warnings(self, capsys, command):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, command, "--n-bar", "1e200")
+        assert code == 2 and out == ""
+        assert err.startswith("error: n_bar")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["state", "fisher"])
+    def test_subprocess_stderr_has_no_runtime_warning(self, command):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvlbi", command, "--n-bar", "1e200"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("error: n_bar")
+
+
+class TestSizeLimits:
+    """Absurd sizes exit 2 naming the field, before anything of that size is allocated."""
+
+    #: far below what even one shot, sample or grid point of 10**12 would take
+    PEAK_BYTES = 2_000_000
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["estimate", "--shots"], "shots"),
+            (["estimate", "--replications"], "replications"),
+            (["compare", "--eps-points"], "eps_points"),
+            (["fisher", "--mc", "--samples"], "samples"),
+        ],
+    )
+    def test_exits_2_without_allocating(self, capsys, argv, field):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv, str(10**12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {field} must be ")
+        assert peak < self.PEAK_BYTES
 
 
 class TestProcessInterface:

@@ -103,6 +103,35 @@ class TestSymplecticForm:
         assert np.array_equal(omega @ omega, -np.eye(2 * n))
 
 
+class TestOrderingIndex:
+    def test_index_matches_label_position(self):
+        ordering = QuadratureOrdering.interleaved("A1", "B1", "A2", "B2")
+        for slot, (mode, quad) in enumerate(ordering.labels):
+            assert ordering.index((mode, quad)) == slot
+            assert ordering.index(f"{quad}_{mode}") == slot
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValidationError, match="not in ordering"):
+            QuadratureOrdering.interleaved("A1").index("x_B1")
+
+
+class TestSymplecticFormCache:
+    def test_read_only(self):
+        omega = symplectic_form(2)
+        with pytest.raises(ValueError):
+            omega[0, 1] = 5.0
+        assert not omega.flags.writeable
+
+    def test_repeated_calls_agree(self):
+        first = symplectic_form(3).copy()
+        assert np.array_equal(symplectic_form(3), first)
+
+    def test_non_positive_mode_count_rejected_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="n_modes"):
+                symplectic_form(0)
+
+
 class TestCovarianceMatrix:
     def test_rejects_asymmetric(self):
         bad = np.eye(4)
@@ -167,6 +196,79 @@ class TestPermuteModes:
             permute_modes(v, QuadratureOrdering.interleaved("A1", "C1"))
 
 
+class TestRearrangementsInheritValidation:
+    """direct_sum, permute_modes and reduce skip re-validation of what they copy."""
+
+    @staticmethod
+    def inputs(rng):
+        v1 = CovarianceMatrix(QuadratureOrdering.interleaved("A1", "B1"), random_symmetric(rng, 4))
+        v2 = CovarianceMatrix(QuadratureOrdering.interleaved("A2", "B2"), random_symmetric(rng, 4))
+        return v1, v2
+
+    @staticmethod
+    def assert_fresh_read_only(out, *sources):
+        assert not out.entries.flags.writeable
+        with pytest.raises(ValueError):
+            out.entries[0, 0] = 1.0
+        for source in sources:
+            assert not np.shares_memory(out.entries, source.entries)
+
+    def test_results_read_only_and_share_no_memory(self):
+        rng = np.random.default_rng(RNG_SEED + 11)
+        target = QuadratureOrdering.interleaved("A1", "A2", "B1", "B2")
+        for _ in range(20):
+            v1, v2 = self.inputs(rng)
+            product = direct_sum(v1, v2)
+            self.assert_fresh_read_only(product, v1, v2)
+            paired = permute_modes(product, target)
+            self.assert_fresh_read_only(paired, product)
+            same = permute_modes(product, product.ordering)
+            self.assert_fresh_read_only(same, product)
+            reduced = reduce(paired, ["x_A1", "p_A2", "x_B1", "p_B2"])
+            self.assert_fresh_read_only(reduced, paired)
+
+    def test_result_orderings_equal_freshly_validated_ones(self):
+        rng = np.random.default_rng(RNG_SEED + 12)
+        v1, v2 = self.inputs(rng)
+        product = direct_sum(v1, v2)
+        assert product.ordering == QuadratureOrdering(v1.ordering.labels + v2.ordering.labels)
+        target = QuadratureOrdering.interleaved("B2", "A1", "B1", "A2")
+        assert permute_modes(product, target).ordering == target
+        keep = ["p_B2", ("A1", "x"), "x_A2"]
+        reduced = reduce(product, keep)
+        assert reduced.ordering == QuadratureOrdering.selection(keep)
+        assert reduced.ordering.reduced
+        partial = direct_sum(reduced, vacuum_covariance("C1"))
+        assert partial.ordering == QuadratureOrdering(
+            reduced.ordering.labels + (("C1", "x"), ("C1", "p")), reduced=True
+        )
+
+    def test_entries_equal_plain_indexing(self):
+        rng = np.random.default_rng(RNG_SEED + 13)
+        v1, v2 = self.inputs(rng)
+        product = direct_sum(v1, v2)
+        expected = np.zeros((8, 8))
+        expected[:4, :4], expected[4:, 4:] = v1.entries, v2.entries
+        assert product.entries.tobytes() == expected.tobytes()
+        target = QuadratureOrdering.interleaved("A1", "A2", "B1", "B2")
+        perm = [product.ordering.labels.index(lbl) for lbl in target.labels]
+        expected = product.entries[perm][:, perm]
+        assert permute_modes(product, target).entries.tobytes() == expected.tobytes()
+
+    def test_rejections_repeat_on_every_call(self):
+        rng = np.random.default_rng(RNG_SEED + 14)
+        v1, _ = self.inputs(rng)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="collide"):
+                direct_sum(v1, v1)
+            with pytest.raises(ValidationError, match="permutation"):
+                permute_modes(v1, QuadratureOrdering.interleaved("A1", "C1"))
+            with pytest.raises(ValidationError, match="duplicate"):
+                reduce(v1, ["x_A1", "x_A1"])
+            with pytest.raises(ValidationError, match="not in ordering"):
+                reduce(v1, ["x_C1"])
+
+
 class TestApplySymplectic:
     def test_identity(self):
         v = vacuum_covariance("A1", "B1")
@@ -195,6 +297,14 @@ class TestApplySymplectic:
         v = vacuum_covariance("A1", "B1")
         with pytest.raises(ValidationError, match="Omega"):
             apply_symplectic(v, 2.0 * np.eye(4))
+
+    def test_rejects_after_accepting_with_the_cached_form(self):
+        v = vacuum_covariance("A1", "B1")
+        apply_symplectic(v, balanced_beam_splitter())
+        near = balanced_beam_splitter()
+        near[0, 0] += 1e-6
+        with pytest.raises(ValidationError, match="not symplectic"):
+            apply_symplectic(v, near)
 
     def test_symmetry_and_physicality_preserved(self):
         rng = np.random.default_rng(RNG_SEED + 1)

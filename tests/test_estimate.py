@@ -10,6 +10,8 @@ import cvlbi.estimate as estimate_module
 from cvlbi.core import ConvergenceError, ValidationError, gaussian_log_pdf
 from cvlbi.estimate import (
     LOG_2PI,
+    MAX_REPLICATIONS,
+    MAX_SHOTS,
     MeasurementRecord,
     _nll_and_grad,
     _projected_bfgs,
@@ -110,6 +112,10 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValidationError, match="shots"):
             sample_records(CFG, 0, seed=0)
+
+    def test_absurd_shot_count_rejected_before_sampling(self):
+        with pytest.raises(ValidationError, match=rf"shots must be in \[1, {MAX_SHOTS}\]"):
+            sample_records(CFG, 10**12, seed=0)
 
     def test_empty_record_rejected_at_construction(self):
         with pytest.raises(ValidationError):
@@ -271,6 +277,17 @@ class TestCrbExperiment:
         large = crb_experiment(CFG, shots=10_000, replications=100, seed=202)
         ratio = np.trace(small.covariance_hat) / np.trace(large.covariance_hat)
         assert 8.0 <= ratio <= 12.0
+
+    @pytest.mark.parametrize(
+        "shots, replications, message",
+        [
+            (10**12, 100, rf"shots must be in \[1, {MAX_SHOTS}\]"),
+            (100, 10**12, f"replications must be <= {MAX_REPLICATIONS}"),
+        ],
+    )
+    def test_absurd_sizes_rejected_before_sampling(self, shots, replications, message):
+        with pytest.raises(ValidationError, match=message):
+            crb_experiment(CFG, shots=shots, replications=replications, seed=0)
 
     def test_too_few_replications_rejected(self):
         with pytest.raises(ValidationError, match="replications"):

@@ -9,7 +9,10 @@ from cvlbi.core import ValidationError
 from cvlbi.fisher import (
     LIMIT_INFINITY,
     LIMIT_ZERO,
+    MAX_MC_SAMPLES,
+    PSD_FLOOR,
     FisherMatrix,
+    _min_eigenvalue_2x2,
     fisher_analytic,
     fisher_limit_closed_form,
     fisher_monte_carlo,
@@ -51,6 +54,57 @@ class TestFisherMatrixType:
     def test_negative_definite_rejected(self):
         with pytest.raises(ValidationError, match="semidefinite"):
             FisherMatrix(np.array([[-1.0, 0.0], [0.0, 1.0]]))
+
+
+def psd_check_reference(m: np.ndarray) -> bool:
+    """FisherMatrix's PSD decision as made through LAPACK before the closed form."""
+    scale = float(np.max(np.abs(m)))
+    return float(np.linalg.eigvalsh(m)[0]) >= PSD_FLOOR * max(1.0, scale)
+
+
+def random_symmetric_2x2(rng, scale: float) -> np.ndarray:
+    a = scale * rng.standard_normal((2, 2))
+    return (a + a.T) / 2.0
+
+
+class TestClosedFormPsdCheck:
+    def test_min_eigenvalue_matches_lapack(self):
+        rng = np.random.default_rng(RNG_SEED + 20)
+        for _ in range(5000):
+            m = random_symmetric_2x2(rng, 10.0 ** rng.uniform(-6.0, 8.0))
+            scale = max(1.0, float(np.max(np.abs(m))))
+            closed = _min_eigenvalue_2x2(m[0, 0], m[1, 0], m[1, 1])
+            assert abs(closed - np.linalg.eigvalsh(m)[0]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_decision_at_twice_the_floor_unchanged(self, sign):
+        rng = np.random.default_rng(RNG_SEED + 21 + int(sign > 0))
+        for _ in range(2000):
+            phi = rng.uniform(0.0, 2 * np.pi)
+            rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+            top = 10.0 ** rng.uniform(-3.0, 8.0)
+            m = rot @ np.diag([top, 0.0]) @ rot.T
+            m = (m + m.T) / 2.0
+            scale = max(1.0, float(np.max(np.abs(m))))
+            m = m + sign * 2e-9 * scale * np.eye(2)
+            expected = psd_check_reference(m)
+            assert expected == (sign > 0)
+            if expected:
+                FisherMatrix(m)
+            else:
+                with pytest.raises(ValidationError, match="semidefinite"):
+                    FisherMatrix(m)
+
+    def test_decision_matches_lapack_on_random_matrices(self):
+        rng = np.random.default_rng(RNG_SEED + 23)
+        for _ in range(2000):
+            m = random_symmetric_2x2(rng, 10.0 ** rng.uniform(-3.0, 6.0))
+            try:
+                FisherMatrix(m)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert accepted == psd_check_reference(m)
 
 
 class TestCovarianceDerivatives:
@@ -264,6 +318,11 @@ class TestMonteCarlo:
     def test_small_sample_count_rejected(self):
         with pytest.raises(ValidationError, match="samples"):
             fisher_monte_carlo(self.CFG, 999, seed=0)
+
+    def test_absurd_sample_count_rejected_before_sampling(self):
+        message = rf"samples must be in \[1000, {MAX_MC_SAMPLES}\]"
+        with pytest.raises(ValidationError, match=message):
+            fisher_monte_carlo(self.CFG, 10**12, seed=0)
 
     def test_score_covariance_equals_fisher(self):
         # empirical covariance of the score vector reproduces the information matrix

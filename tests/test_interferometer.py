@@ -13,6 +13,7 @@ from cvlbi.interferometer import (
     OUTPUT_ORDERING,
     PRODUCT_ORDERING,
     PRODUCT_TO_OUTPUT_PERMUTATION,
+    _TWO_SITE_BEAM_SPLITTER,
     abbreviations,
     beam_splitter_matrix,
     full_output_covariance,
@@ -99,6 +100,13 @@ class TestFullOutputCovariance:
             worst = max(worst, gap)
         assert worst <= 1e-12
 
+    def test_two_site_beam_splitter_constant_read_only(self):
+        with pytest.raises(ValueError):
+            _TWO_SITE_BEAM_SPLITTER[0, 0] = 1.0
+        expected = np.zeros((8, 8))
+        expected[:4, :4] = expected[4:, 4:] = beam_splitter_matrix()
+        assert _TWO_SITE_BEAM_SPLITTER.tobytes() == expected.tobytes()
+
     def test_output_physical(self):
         from cvlbi.core import check_physicality
 
@@ -146,6 +154,16 @@ class TestReducedCovariance:
         for _ in range(1000):
             worst = max(worst, reduced_covariance(random_config(rng)).pipeline_gap)
         assert worst <= 1e-12
+
+    def test_routes_share_no_array(self):
+        rng = np.random.default_rng(RNG_SEED + 6)
+        for _ in range(20):
+            cfg = random_config(rng)
+            state = reduced_covariance(cfg)
+            pipeline = state.v_r_pipeline.entries
+            assert not pipeline.flags.writeable
+            for other in (state.v_r.entries, cfg.model.v0, cfg.model.d1, cfg.model.d2):
+                assert not np.shares_memory(pipeline, other)
 
     def test_positive_definite(self):
         rng = np.random.default_rng(RNG_SEED + 4)

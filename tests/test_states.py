@@ -21,6 +21,23 @@ R_GRID = np.arange(0.0, 2.25, 0.25)
 THETA_GRID = np.arange(0.0, 2 * np.pi, np.pi / 4)
 
 
+def astronomical_block_reference(params: SourceParams) -> np.ndarray:
+    """The np.block construction the direct fill replaced; kept as the reference."""
+    eps, g1, g2 = params.epsilon, params.g1, params.g2
+    diag = (eps + 1.0) * np.eye(2)
+    cross = np.array([[eps * g1, -eps * g2], [eps * g2, eps * g1]])
+    return np.block([[diag, cross], [cross.T, diag]])
+
+
+def tmsv_block_reference(params: TmsvParams) -> np.ndarray:
+    """The np.block construction the direct fill replaced; kept as the reference."""
+    n = params.n_bar
+    diag = (2.0 * n + 1.0) * np.eye(2)
+    c, s = math.cos(params.theta), math.sin(params.theta)
+    cross = 2.0 * math.sqrt(n * (n + 1.0)) * np.array([[c, s], [s, -c]])
+    return np.block([[diag, cross], [cross, diag]])
+
+
 def random_source(rng) -> SourceParams:
     phase = rng.uniform(0, 2 * np.pi)
     mag = math.sqrt(rng.uniform(0, 1))
@@ -70,6 +87,20 @@ class TestTmsvParams:
 
     def test_zero_squeezing(self):
         assert TmsvParams(0.0).r == 0.0
+
+    @pytest.mark.parametrize("n_bar", [1e200, 1.4e154, 1e308])
+    def test_overflowing_n_bar_rejected_naming_n_bar(self, n_bar):
+        with pytest.raises(ValidationError, match="n_bar"):
+            TmsvParams(n_bar)
+
+    def test_largest_finite_covariance_accepted(self):
+        params = TmsvParams(1e150, 0.3)
+        assert np.isfinite(tmsv_covariance_closed(params).entries).all()
+
+    @pytest.mark.parametrize("r", [200.0, 400.0, 1e4])
+    def test_overflowing_r_rejected_naming_r(self, r):
+        with pytest.raises(ValidationError, match="squeezing magnitude r"):
+            TmsvParams.from_r(r)
 
 
 class TestAstronomicalCovariance:
@@ -183,3 +214,33 @@ class TestVacuumHelper:
     def test_identity(self):
         v = vacuum_covariance("A1", "B1", "C1")
         assert np.array_equal(v.entries, np.eye(6))
+
+
+class TestDirectFill:
+    """The direct 4x4 fill gives the bits of the np.block construction it replaced."""
+
+    def test_astronomical_bitwise_equal_to_block_reference(self):
+        rng = np.random.default_rng(RNG_SEED + 7)
+        for _ in range(500):
+            params = random_source(rng)
+            got = astronomical_covariance(params).entries
+            assert got.tobytes() == astronomical_block_reference(params).tobytes()
+
+    def test_tmsv_bitwise_equal_to_block_reference(self):
+        rng = np.random.default_rng(RNG_SEED + 8)
+        for _ in range(500):
+            params = TmsvParams(10.0 ** rng.uniform(-6.0, 4.0), rng.uniform(0.0, 2 * np.pi))
+            got = tmsv_covariance_closed(params).entries
+            assert got.tobytes() == tmsv_block_reference(params).tobytes()
+
+    @pytest.mark.parametrize("g1, g2", [(0.0, 0.0), (-0.0, -0.0), (1.0, 0.0), (0.0, -1.0)])
+    def test_signed_zeros_match(self, g1, g2):
+        params = SourceParams(0.3, g1, g2)
+        got = astronomical_covariance(params).entries
+        assert got.tobytes() == astronomical_block_reference(params).tobytes()
+
+    @pytest.mark.parametrize("n_bar", [0.0, 1.0])
+    def test_tmsv_zero_and_unit_photon_match(self, n_bar):
+        params = TmsvParams(n_bar, 0.0)
+        got = tmsv_covariance_closed(params).entries
+        assert got.tobytes() == tmsv_block_reference(params).tobytes()
