@@ -31,6 +31,7 @@ SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-9
 PHYSICALITY_THRESHOLD = -1e-9
 CONDITION_LIMIT = 1e12
+_MACHINE_EPSILON = float(np.finfo(float).eps)
 
 #: distinct input orderings whose derived orderings the rearrangements remember
 ORDERING_CACHE_SIZE = 64
@@ -326,12 +327,14 @@ def reduce(v: CovarianceMatrix, keep) -> CovarianceMatrix:
 
 def _check_positive_definite(entries: np.ndarray, what: str) -> np.ndarray:
     eigs = np.linalg.eigvalsh(entries)
-    if eigs[0] <= 0.0:
-        raise NumericalError(f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})")
-    if eigs[-1] / eigs[0] > CONDITION_LIMIT:
-        raise NumericalError(
-            f"{what} is numerically singular (condition number {eigs[-1] / eigs[0]:.3e})"
-        )
+    low, high = float(eigs[0]), float(eigs[-1])
+    # eigenvalues are resolved only to about dim * machine epsilon * the largest one
+    resolution = entries.shape[-1] * _MACHINE_EPSILON * abs(high)
+    if low < -resolution:
+        raise NumericalError(f"{what} is not positive definite (min eigenvalue {low:.3e})")
+    if low <= 0.0 or high / low > CONDITION_LIMIT:
+        condition = high / low if low > 0.0 else math.inf
+        raise NumericalError(f"{what} is numerically singular (condition number {condition:.3e})")
     return eigs
 
 

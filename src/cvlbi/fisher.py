@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ValidationError, _check_positive_definite
 from .interferometer import InterferometerConfig, MeasuredModel
-from .states import _check_disk
+from .states import _check_disk, _check_flux
 
 PSD_FLOOR = -1e-9
 
@@ -194,6 +194,7 @@ def fisher_limit_closed_form(
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValidationError("epsilon must be > 0")
+    _check_flux(eps)
     _check_disk(g1, g2)
     g_sq = g1 * g1 + g2 * g2
     eps_sq = eps * eps

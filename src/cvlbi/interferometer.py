@@ -67,11 +67,6 @@ class InterferometerConfig:
     source: SourceParams
     resource: TmsvParams
 
-    @property
-    def measured(self) -> QuadratureOrdering:
-        """The fixed homodyne selection; not configurable in this layout."""
-        return MEASURED_ORDERING
-
     @cached_property
     def model(self) -> "MeasuredModel":
         """The measured covariance as a linear function of the coherence, built once."""

@@ -85,10 +85,6 @@ class SchemeCurve:
         object.__setattr__(self, "points", tuple((float(e), float(b)) for e, b in self.points))
 
     @property
-    def epsilons(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    @property
     def bounds(self) -> np.ndarray:
         return np.array([p[1] for p in self.points])
 

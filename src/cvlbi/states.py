@@ -44,6 +44,13 @@ def _covariance_overflows(n_bar: float) -> bool:
     return not math.isfinite(n_bar * (n_bar + 1.0))
 
 
+def _check_flux(eps: float) -> None:
+    # the Fisher limits carry eps^2 times up to 2 (at |g| = 1, plus the disk slack) plus
+    # terms in eps; 4 eps^2 bounds them all, and every covariance entry is far smaller
+    if not math.isfinite(4.0 * eps * eps):
+        raise ValidationError(f"epsilon = {eps} is too large: its eps^2 terms overflow")
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Astronomical-state parameters: photon flux epsilon and mutual coherence g.
@@ -64,6 +71,7 @@ class SourceParams:
                 raise ValidationError(f"{name} must be finite")
         if self.epsilon <= 0.0:
             raise ValidationError("epsilon must be > 0")
+        _check_flux(self.epsilon)
         if self.g_squared > 1.0 + G_NORM_SLACK:
             raise ValidationError(
                 f"|g| <= 1 violated (g1={self.g1}, g2={self.g2}, |g|^2={self.g_squared})"

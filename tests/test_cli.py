@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cvlbi.cli import main
+from cvlbi.cli import build_parser, main
 from cvlbi.serialize import json_dumps
 
 FISHER_DIAG_VACUUM = 2.0 * 0.1**2 / (4.0 + 4.0 * 0.1 + 0.1**2)
@@ -341,3 +342,203 @@ class TestProcessInterface:
             [sys.executable, "-m", "cvlbi"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+
+
+def option_strings(command: str) -> set[str]:
+    """Every option string the subcommand's parser takes, read from build_parser()."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for action in sub.choices[command]._actions for s in action.option_strings}
+
+
+COMMON_OPTIONS = {
+    "-h", "--help", "--config", "--epsilon", "--g1", "--g2", "--n-bar", "--theta",
+    "--delta-nu", "--seed", "--output", "-o", "--format",
+}
+
+#: the option strings of each subcommand; a new or dropped option shows up as a diff here
+OPTIONS = {
+    "state": COMMON_OPTIONS,
+    "fisher": COMMON_OPTIONS | {"--mc", "--samples"},
+    "compare": COMMON_OPTIONS | {"--eps-min", "--eps-max", "--eps-points", "--exact-cv"},
+    "estimate": COMMON_OPTIONS | {"--shots", "--replications"},
+}
+
+#: a non-default value for every value flag
+FLAG_VALUES = {
+    "--epsilon": "0.2", "--g1": "0.3", "--g2": "-0.2", "--n-bar": "2", "--theta": "0.5",
+    "--delta-nu": "2e9", "--seed": "5", "--format": "csv", "--samples": "2000",
+    "--eps-min": "0.01", "--eps-max": "0.5", "--eps-points": "7",
+    "--shots": "150", "--replications": "31",
+}
+
+#: flags that keep each run small; a flag under test replaces its entry here
+SMALL_RUN = {
+    "state": {},
+    "fisher": {"--mc": "true", "--samples": "1000"},
+    "compare": {"--eps-points": "5"},
+    "estimate": {"--shots": "100", "--replications": "30"},
+}
+
+SWITCHES = {"fisher": "--mc", "compare": "--exact-cv"}
+
+
+def small_argv(command: str, without: str = "") -> list[str]:
+    argv = [command]
+    for flag, value in SMALL_RUN[command].items():
+        if flag != without:
+            argv += [flag, value]
+    return argv
+
+
+def write_config(tmp_path, text: str) -> str:
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+class TestOptionStrings:
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_each_subcommand_keeps_its_option_strings(self, command):
+        assert option_strings(command) == OPTIONS[command]
+
+    def test_every_value_flag_has_a_config_case(self):
+        not_values = {"-h", "--help", "--config", "--output", "-o", *SWITCHES.values()}
+        flags = set().union(*OPTIONS.values()) - not_values
+        assert flags == set(FLAG_VALUES)
+
+
+class TestConfigLinesAreFlags:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in OPTIONS for f in sorted(FLAG_VALUES) if f in OPTIONS[c]],
+    )
+    def test_config_line_matches_flag(self, tmp_path, capsys, command, flag):
+        value = FLAG_VALUES[flag]
+        base = small_argv(command, without=flag)
+        config = write_config(tmp_path, f"{flag[2:].replace('-', '_')} = {value}\n")
+        from_flag = run_cli(capsys, *base, flag, value)
+        from_config = run_cli(capsys, *base, "--config", config)
+        assert from_config == from_flag
+
+    def test_output_key_writes_the_same_bytes(self, tmp_path, capsys):
+        by_flag, by_key = tmp_path / "flag.json", tmp_path / "key.json"
+        config = write_config(tmp_path, f"output = {by_key}\n")
+        assert main(["state", "--output", str(by_flag)]) == 0
+        assert main(["state", "--config", config]) == 0
+        assert capsys.readouterr().out == ""
+        assert by_key.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize("command", list(SWITCHES))
+    @pytest.mark.parametrize("value, on", [("true", True), ("false", False), ("1", True),
+                                           ("0", False), ("True", True), ("FALSE", False)])
+    def test_switch_takes_true_false_1_0(self, tmp_path, capsys, command, value, on):
+        flag = SWITCHES[command]
+        base = small_argv(command, without=flag)
+        expected = run_cli(capsys, *base, *([flag] if on else []))
+        assert expected[0] == 0
+        key = flag[2:]  # the dashed spelling, e.g. exact-cv
+        config = write_config(tmp_path, f"{key} = {value}\n")
+        assert run_cli(capsys, *base, "--config", config) == expected
+        assert run_cli(capsys, *base, f"{flag}={value}") == expected
+        assert run_cli(capsys, *base, flag, value) == expected
+
+    def test_bare_switch_overrides_config_false(self, tmp_path, capsys):
+        config = write_config(tmp_path, "mc = false\n")
+        base = small_argv("fisher", without="--mc")
+        with_mc = run_cli(capsys, *base, "--mc")
+        assert run_cli(capsys, *base, "--config", config, "--mc") == with_mc
+        assert "monte_carlo" in json.loads(with_mc[1])
+
+    @pytest.mark.parametrize("command, key", [("state", "shots"), ("state", "mc"),
+                                              ("fisher", "eps_points"), ("compare", "samples"),
+                                              ("estimate", "exact-cv"), ("state", "output_path")])
+    def test_key_the_subcommand_does_not_take_exits_2(self, tmp_path, capsys, command, key):
+        config = write_config(tmp_path, f"epsilon = 0.2\n{key} = 1\n")
+        code, out, err = run_cli(capsys, command, "--config", config)
+        assert (code, out, err) == (2, "", f"error: unknown config key: {key}\n")
+
+    def test_config_key_inside_config_exits_2(self, tmp_path, capsys):
+        other = write_config(tmp_path, "epsilon = 0.2\n")
+        config = tmp_path / "outer.cfg"
+        config.write_text(f"config = {other}\n")
+        code, out, err = run_cli(capsys, "state", "--config", str(config))
+        assert (code, out, err) == (2, "", "error: unknown config key: config\n")
+
+    @pytest.mark.parametrize("line, flag", [("seed = abc", "--seed"), ("epsilon = x", "--epsilon"),
+                                            ("mc = maybe", "--mc"), ("format = xml", "--format")])
+    def test_badly_typed_value_exits_2_naming_flag(self, tmp_path, capsys, line, flag):
+        config = write_config(tmp_path, line + "\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fisher", "--config", config])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_unknown_explicit_flag_keeps_argparse_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, "epsilon = 0.2\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["state", "--config", config, "--shots", "5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shots 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["epsilon 0.2", "= 0.2"])
+    def test_line_without_key_exits_2(self, tmp_path, capsys, line):
+        config = write_config(tmp_path, line + "\n")
+        code, _, err = run_cli(capsys, "state", "--config", config)
+        assert code == 2
+        assert err.startswith("error: config line 1 is not key=value")
+
+    def test_last_line_wins_and_comments_are_skipped(self, tmp_path, capsys):
+        config = write_config(tmp_path, "# flux\n\nepsilon = 0.2\nepsilon = 0.3\nepsilon=0.2\n")
+        expected = run_cli(capsys, "state", "--epsilon", "0.2")
+        assert run_cli(capsys, "state", "--config", config) == expected
+
+    def test_subprocess_matches_in_process(self, tmp_path, capsys):
+        config = write_config(tmp_path, "epsilon = 0.2\ng1 = 0.5\nn_bar = 3\n")
+        argv = ["fisher", "--config", config, "--epsilon", "0.35"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvlbi", *argv], capture_output=True, text=True
+        )
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert json.loads(out)["parameters"] == {
+            "epsilon": 0.35, "g1": 0.5, "g2": 0.0, "n_bar": 3.0, "theta": 0.0,
+        }
+
+
+class TestOverflowingFlux:
+    @pytest.mark.parametrize("epsilon", ["1e200", "1.3e154"])
+    def test_subprocess_exits_2_naming_epsilon(self, epsilon):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cvlbi",
+             "fisher", "--epsilon", epsilon, "--g1", "0.5"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: epsilon = {float(epsilon)} is too large")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state"],
+            ["fisher", "--g1", "0.5"],
+            ["estimate", "--shots", "200", "--replications", "30"],
+        ],
+    )
+    def test_both_sides_of_the_threshold(self, capsys, largest_epsilon, argv):
+        too_large = math.nextafter(largest_epsilon, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, *argv, "--epsilon", repr(largest_epsilon))
+            assert code == 0, err
+            code, out, err = run_cli(capsys, *argv, "--epsilon", repr(too_large))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: epsilon = {too_large} is too large")
+
+
+class TestConditioningFailure:
+    def test_huge_squeezing_reports_numerically_singular(self, capsys):
+        code, out, err = run_cli(capsys, "fisher", "--n-bar", "1e150")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: measured covariance is numerically singular")

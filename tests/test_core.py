@@ -11,6 +11,7 @@ from cvlbi.core import (
     NumericalError,
     QuadratureOrdering,
     ValidationError,
+    _check_positive_definite,
     apply_symplectic,
     check_physicality,
     direct_sum,
@@ -464,6 +465,22 @@ class TestGaussianLogPdf:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             gaussian_log_pdf(vacuum_covariance("A1"), np.zeros((1, 4)))
+
+
+class TestCheckPositiveDefinite:
+    """A non-positive smallest eigenvalue is singular at float resolution, indefinite beyond."""
+
+    @pytest.mark.parametrize("scale, low", [(1.0, 0.0), (1.0, -1e-17), (1e150, -1e134)])
+    def test_zero_at_resolution_is_numerically_singular(self, scale, low):
+        entries = np.diag([scale, scale, scale, low])
+        singular = r"^m is numerically singular \(condition number inf"
+        with pytest.raises(NumericalError, match=singular):
+            _check_positive_definite(entries, "m")
+
+    @pytest.mark.parametrize("low", [-1e-3, -1e-12])
+    def test_clearly_negative_is_not_positive_definite(self, low):
+        with pytest.raises(NumericalError, match="m is not positive definite"):
+            _check_positive_definite(np.diag([1.0, 1.0, 1.0, low]), "m")
 
 
 class TestCheckPhysicality:

@@ -283,6 +283,12 @@ class TestLimitClosedForms:
         with pytest.raises(ValidationError):
             fisher_limit_closed_form(0.1, 1.0, 1.0, LIMIT_ZERO)
 
+    @pytest.mark.parametrize("which", [LIMIT_ZERO, LIMIT_INFINITY])
+    def test_overflowing_epsilon_rejected_naming_epsilon(self, which, largest_epsilon):
+        too_large = math.nextafter(largest_epsilon, math.inf)
+        with pytest.raises(ValidationError, match="epsilon = .* is too large"):
+            fisher_limit_closed_form(too_large, 0.5, 0.0, which)
+
     @pytest.mark.parametrize(
         "g", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)]
     )

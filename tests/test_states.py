@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvlbi.core import ValidationError, check_physicality
+from cvlbi.fisher import LIMIT_INFINITY, LIMIT_ZERO, fisher_limit_closed_form
 from cvlbi.states import (
     SourceParams,
     TmsvParams,
@@ -67,6 +68,25 @@ class TestSourceParams:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             SourceParams(float("nan"))
+
+    @pytest.mark.parametrize("epsilon", [1.3e154, 1e200, 1e308])
+    def test_overflowing_epsilon_rejected_naming_epsilon(self, epsilon):
+        with pytest.raises(ValidationError, match=r"^epsilon = .* is too large"):
+            SourceParams(epsilon)
+
+    def test_overflow_threshold_sits_where_eps_squared_terms_overflow(self, largest_epsilon):
+        assert 6e153 < largest_epsilon < 1.35e154
+        with pytest.raises(ValidationError, match="epsilon = .* is too large"):
+            SourceParams(math.nextafter(largest_epsilon, math.inf))
+
+    @pytest.mark.parametrize("g", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.0)])
+    def test_largest_accepted_epsilon_stays_finite(self, largest_epsilon, g):
+        # RuntimeWarnings are errors in this suite, so no overflow may happen on the way
+        params = SourceParams(largest_epsilon, *g)
+        assert np.isfinite(astronomical_covariance(params).entries).all()
+        for which in (LIMIT_ZERO, LIMIT_INFINITY):
+            entries = fisher_limit_closed_form(largest_epsilon, *g, which).entries
+            assert np.isfinite(entries).all()
 
 
 class TestTmsvParams:
