@@ -3,7 +3,7 @@
 Every subcommand is deterministic given its full flag set (seeds included) and
 writes either JSON (default) or CSV to stdout or --output. Exit codes: 0 on
 success, 2 on validation errors (the message names the offending field), 3 on
-numerical failures.
+numerical failures; ``main`` returns them, argparse's own errors included.
 
 argparse is the only parser, and each default is declared once, on its flag.
 A --config file holds flat ``key = value`` lines; blank lines and lines
@@ -11,8 +11,9 @@ starting with # are skipped. A key is a flag name without the leading dashes,
 written with ``_`` or ``-`` (``n_bar`` and ``n-bar`` both mean --n-bar), and
 each line is read as the token ``--key=value``. The subcommand parses those
 tokens ahead of the explicit arguments, so explicit flags win. A key the
-subcommand does not take, ``config`` included, exits 2 naming it. --mc and
---exact-cv take an optional true/false/1/0 value, so ``mc = false`` works too.
+subcommand does not take, ``config`` included, exits 2 naming it; so does a
+prefix of a flag name, which no argument may be. --mc and --exact-cv take an
+optional true/false/1/0 value, so ``mc = false`` works too.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ _SWITCH = {"nargs": "?", "const": True, "default": False, "type": _switch, "meta
 
 def _add_subcommand(sub, name: str, help: str):
     """Add a subcommand with the options all of them take; return its ``add_argument``."""
-    add = sub.add_parser(name, help=help).add_argument
+    add = sub.add_parser(name, help=help, allow_abbrev=False).add_argument
     add("--config", metavar="PATH", help="key=value file; flags override it")
     add("--epsilon", type=float, default=0.1, help="photon flux per coherence time (> 0)")
     add("--g1", type=float, default=0.0, help="Re of the mutual coherence")
@@ -113,7 +114,7 @@ def _add_subcommand(sub, name: str, help: str):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cvlbi",
+        prog="cvlbi", allow_abbrev=False,
         description=(
             "Continuous-variable entanglement-assisted baseline interferometry: "
             "Gaussian state pipeline, homodyne Fisher information, scheme comparison, "
@@ -283,11 +284,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             args = _apply_config(parser, argv, args)
         text = _COMMANDS[args.command](args)
+    except SystemExit as exc:
+        # argparse has written its usage and message (or the help) already
+        return exc.code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,12 +10,13 @@ The likelihood and its gradient depend on the data only through the empirical
 second-moment matrix, so each optimizer step costs a few 4x4 operations no
 matter how many shots a record holds. The replications of the CRB experiment
 are fitted in lockstep: each optimizer round evaluates the pending points of
-every start of every replication in one stacked 4x4 likelihood call, with the
-same bits as fitting the records one by one. Replication seeds are spawned
-from the master seed with ``numpy.random.SeedSequence``, making
-multi-replication runs reproducible across machines. The choice of maximum likelihood is this
-package's, it is standard but not imposed by the problem; result records are
-labeled accordingly.
+every start of every replication, boundary-polish points on the unit circle
+included, in one stacked 4x4 likelihood call, with the same bits as fitting
+the records one by one. Replication seeds are spawned from the master seed
+with ``numpy.random.SeedSequence``, making multi-replication runs reproducible
+across machines. The choice of maximum likelihood is this package's, it is
+standard but not imposed by the problem; result records are labeled
+accordingly.
 """
 
 from __future__ import annotations
@@ -208,20 +209,19 @@ def _project_disk(g: np.ndarray) -> np.ndarray:
     return g / norm
 
 
-def _circle_point(angle: float) -> np.ndarray:
-    return np.array([math.cos(angle), math.sin(angle)])
-
-
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+def _brentq(f, xa: float, xb: float, xtol: float):
     """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
 
     A step-for-step port of SciPy's ``brentq`` (inverse quadratic or secant
     step when it is short enough, bisection otherwise, relative tolerance
-    4 * machine epsilon), so it returns the same root to the last bit.
+    4 * machine epsilon), so it returns the same root to the last bit. A
+    generator over the generator ``f``: it reads each value as ``yield from
+    f(x)``, so the points ``f`` yields reach the caller, and returns the root.
     """
     rtol = 4.0 * np.finfo(float).eps
     xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
+    fpre = yield from f(xpre)
+    fcur = yield from f(xcur)
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
@@ -258,56 +258,55 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
+        fcur = yield from f(xcur)
     raise ConvergenceError("root finder did not converge in 100 iterations")
 
 
-def _boundary_polish(fun_grad, x: np.ndarray, f: float, grad: np.ndarray):
+def _boundary_polish(x: np.ndarray, f: float, grad: np.ndarray):
     """Slide along the unit circle to a tangentially stationary point.
 
     Used when the iterate is pinned on the boundary with an inward-pointing
     gradient; the remaining freedom is the angle, where a bracketed root of the
-    tangential derivative converges far faster than projected steps.
+    tangential derivative converges far faster than projected steps. A
+    generator like ``_projected_bfgs``: it yields each circle point it needs
+    evaluated, none twice, and returns the new (x, f, grad).
     """
     phi = math.atan2(x[1], x[0])
     cache: dict[float, tuple] = {}
 
-    def at(angle: float):
+    def tangential(angle: float):
         if angle not in cache:
-            point = _circle_point(angle)
-            cache[angle] = (point, *fun_grad(point))
-        return cache[angle]
-
-    def tangential(angle: float) -> float:
-        point, _, g = at(angle)
+            point = np.array([math.cos(angle), math.sin(angle)])
+            cache[angle] = (point, *(yield point))
+        point, _, g = cache[angle]
         return float(g @ np.array([-point[1], point[0]]))
 
-    d0 = tangential(phi)
+    d0 = yield from tangential(phi)
     if d0 == 0.0:
         return x, f, grad
     width = 1e-3
     other = phi
     while width <= math.pi:
         other = phi - math.copysign(width, d0)
-        if tangential(other) * d0 < 0.0:
+        if (yield from tangential(other)) * d0 < 0.0:
             break
         width *= 2.0
     else:
         return x, f, grad
-    root = _brentq(tangential, min(phi, other), max(phi, other), xtol=1e-15)
-    point, f_new, grad_new = at(root)
+    root = yield from _brentq(tangential, min(phi, other), max(phi, other), xtol=1e-15)
+    point, f_new, grad_new = cache[root]  # Brent's method returns a point it evaluated
     if f_new <= f:
         return point, f_new, grad_new
     return x, f, grad
 
 
-def _projected_bfgs(x0: np.ndarray, fun_grad):
+def _projected_bfgs(x0: np.ndarray):
     """Minimize over the closed unit disk: BFGS directions, projected steps.
 
     A generator: it yields each point it needs evaluated and is sent (f, grad)
     at that point, so one caller can evaluate the points of many runs in one
-    stacked call; it returns (x, f, pg_norm, iterations). The boundary
-    refinement evaluates through ``fun_grad`` directly.
+    stacked call; it returns (x, f, pg_norm, iterations). The points of the
+    boundary refinement are yielded the same way.
 
     Convergence is declared when the projected-gradient displacement
     ||x - proj(x - grad)|| falls below GRADIENT_TOL (the plain gradient norm at
@@ -323,7 +322,7 @@ def _projected_bfgs(x0: np.ndarray, fun_grad):
         if pg_norm <= GRADIENT_TOL:
             return x, f, pg_norm, iteration
         if math.hypot(x[0], x[1]) >= 1.0 - 1e-12 and float(grad @ x) <= 0.0:
-            x_new, f_new, grad_new = _boundary_polish(fun_grad, x, f, grad)
+            x_new, f_new, grad_new = yield from _boundary_polish(x, f, grad)
             if np.array_equal(x_new, x):
                 # tangentially stationary at float resolution
                 return x, f, pg_norm, iteration
@@ -390,17 +389,12 @@ def _mle_lockstep(
     model, eps = cfg.model, cfg.source.epsilon
     owners, runs = [], []
     for i, s in enumerate(moments):
-
-        def fun_grad(g, s=s):
-            values, grads = _nll_and_grad(model, s[None], g[None])
-            return values[0], grads[0]
-
         starts = [np.zeros(2), np.array(_moment_start(s, eps))]
         if np.linalg.norm(starts[1] - starts[0]) < 1e-12:
             starts = starts[:1]
         for x0 in starts:
             owners.append(i)
-            runs.append(_projected_bfgs(x0, fun_grad))
+            runs.append(_projected_bfgs(x0))
 
     pending = {k: next(run) for k, run in enumerate(runs)}
     finals, failures = {}, {}

@@ -95,6 +95,11 @@ def _score_kernels(model: MeasuredModel, v: np.ndarray):
     return [(inv @ d @ inv, float(np.trace(inv @ d))) for d in (model.d1, model.d2)]
 
 
+def _scores(kernels, x: np.ndarray) -> list[np.ndarray]:
+    """Per component, the score (x^T K_i x - tr(V^-1 D_i)) / 2 of each row of x."""
+    return [0.5 * (np.einsum("ni,ij,nj->n", x, kernel, x) - offset) for kernel, offset in kernels]
+
+
 def score_vectors(cfg: InterferometerConfig, outcomes: np.ndarray) -> np.ndarray:
     """Analytic scores d(log P)/d(g1, g2) for each outcome row; shape (n, 2).
 
@@ -106,11 +111,7 @@ def score_vectors(cfg: InterferometerConfig, outcomes: np.ndarray) -> np.ndarray
     if outcomes.shape[1] != 4:
         raise ValidationError(f"outcomes must have 4 columns, got {outcomes.shape}")
     kernels = _score_kernels(cfg.model, _measured_covariance(cfg))
-    scores = np.empty((outcomes.shape[0], 2))
-    for i, (kernel, offset) in enumerate(kernels):
-        quad = np.einsum("ni,ij,nj->n", outcomes, kernel, outcomes)
-        scores[:, i] = 0.5 * (quad - offset)
-    return scores
+    return np.column_stack(_scores(kernels, outcomes))
 
 
 def fisher_analytic(cfg: InterferometerConfig) -> FisherMatrix:
@@ -143,7 +144,7 @@ def fisher_monte_carlo(
         raise ValidationError(f"samples must be in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
     v = _measured_covariance(cfg)
     chol = np.linalg.cholesky(v)
-    (kernel1, offset1), (kernel2, offset2) = _score_kernels(cfg.model, v)
+    kernels = _score_kernels(cfg.model, v)
     rng = np.random.default_rng(seed)
 
     prod_sum = np.zeros(3)
@@ -156,8 +157,7 @@ def fisher_monte_carlo(
         remaining -= m
         z = rng.standard_normal((m, 4))
         x = z @ chol.T
-        s1 = 0.5 * (np.einsum("ni,ij,nj->n", x, kernel1, x) - offset1)
-        s2 = 0.5 * (np.einsum("ni,ij,nj->n", x, kernel2, x) - offset2)
+        s1, s2 = _scores(kernels, x)
         for k, prod in enumerate((s1 * s1, s1 * s2, s2 * s2)):
             prod_sum[k] += prod.sum()
             prod_sumsq[k] += (prod * prod).sum()

@@ -469,17 +469,26 @@ class TestConfigLinesAreFlags:
                                             ("mc = maybe", "--mc"), ("format = xml", "--format")])
     def test_badly_typed_value_exits_2_naming_flag(self, tmp_path, capsys, line, flag):
         config = write_config(tmp_path, line + "\n")
-        with pytest.raises(SystemExit) as exit_info:
-            main(["fisher", "--config", config])
-        assert exit_info.value.code == 2
-        assert f"argument {flag}" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "fisher", "--config", config)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}" in err
 
     def test_unknown_explicit_flag_keeps_argparse_error(self, tmp_path, capsys):
         config = write_config(tmp_path, "epsilon = 0.2\n")
-        with pytest.raises(SystemExit) as exit_info:
-            main(["state", "--config", config, "--shots", "5"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --shots 5" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "state", "--config", config, "--shots", "5")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --shots 5" in err
+
+    @pytest.mark.parametrize("command", ["state", "compare"])
+    def test_prefix_of_a_flag_is_an_unknown_key(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, "eps = 0.3\n")
+        code, out, err = run_cli(capsys, command, "--config", config)
+        assert (code, out, err) == (2, "", "error: unknown config key: eps\n")
+
+    def test_prefix_of_a_flag_is_rejected_on_the_command_line(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--rep", "30", "--sho", "100")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --rep 30 --sho 100" in err
 
     @pytest.mark.parametrize("line", ["epsilon 0.2", "= 0.2"])
     def test_line_without_key_exits_2(self, tmp_path, capsys, line):

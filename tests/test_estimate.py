@@ -51,26 +51,33 @@ def one_matrix_nll_and_grad(model, s, g):
     return value, grad
 
 
+def drive(run, fun):
+    """Run the generator ``run`` to its end, sending ``fun(point)`` for each point
+    it yields; return what it returns."""
+    try:
+        point = next(run)
+        while True:
+            point = run.send(fun(point))
+    except StopIteration as done:
+        return done.value
+
+
+def yielded(x):
+    """The generator form of a function: yield x, return the value sent back."""
+    return (yield x)
+
+
 def sequential_mle(record):
     """Reference: mle as a plain loop, each start run to its end in turn on the
     one-matrix evaluator; the better final value wins, the first start on a tie."""
     model, s = record.config.model, record.second_moment
-
-    def fun_grad(g):
-        return one_matrix_nll_and_grad(model, s, g)
-
     starts = [np.zeros(2), np.array(moment_initializer(record))]
     if np.linalg.norm(starts[1] - starts[0]) < 1e-12:
         starts = starts[:1]
     best = None
     for x0 in starts:
-        run = _projected_bfgs(x0, fun_grad)
-        point = next(run)
-        try:
-            while True:
-                point = run.send(fun_grad(point))
-        except StopIteration as done:
-            x, f, pg_norm, iterations = done.value
+        run = _projected_bfgs(x0)
+        x, f, pg_norm, iterations = drive(run, lambda g: one_matrix_nll_and_grad(model, s, g))
         if best is None or f < best[1]:
             best = (x, f, pg_norm, iterations)
     x, f, pg_norm, iterations = best
@@ -246,14 +253,15 @@ class TestBoundaryRootFinder:
             a, b = sorted(rng.uniform(-4.0, 4.0, size=2))
             if f(a) * f(b) >= 0.0:
                 continue
-            assert _brentq(f, a, b, xtol=1e-15) == optimize.brentq(f, a, b, xtol=1e-15)
+            root = drive(_brentq(yielded, a, b, xtol=1e-15), f)
+            assert root == optimize.brentq(f, a, b, xtol=1e-15)
             checked += 1
 
     def test_same_sign_bracket_rejected(self):
         from cvlbi.estimate import _brentq
 
         with pytest.raises(ValidationError):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15)
+            drive(_brentq(yielded, -1.0, 1.0, xtol=1e-15), lambda x: x * x + 1.0)
 
 
 class TestCrbExperiment:
@@ -332,6 +340,22 @@ class TestLockstepFits:
         assert result.boundary_count == sum(fit[5] for fit in fits)
         if case == "boundary":
             assert result.boundary_count > replications // 2
+
+    def test_every_evaluation_is_a_lockstep_round(self, monkeypatch):
+        # the pending set only shrinks, so a call with more rows than the one
+        # before it is a point evaluated outside the rounds
+        rows = []
+
+        def counted(model, s, g):
+            rows.append(len(g))
+            return _nll_and_grad(model, s, g)
+
+        monkeypatch.setattr(estimate_module, "_nll_and_grad", counted)
+        cfg, shots, replications = LOCKSTEP_CASES["boundary"]
+        result = crb_experiment(cfg, shots, replications, seed=0)
+        assert result.boundary_count > replications // 2
+        assert rows[0] >= replications
+        assert all(later <= earlier for earlier, later in zip(rows, rows[1:]))
 
     # at 3 iterations a later start fails in fewer rounds than the first failing
     # one on the boundary case; at 13 the first failing replication is a later one
