@@ -4,6 +4,7 @@ Every subcommand is deterministic given its full flag set (seeds included) and
 writes either JSON (default) or CSV to stdout or --output. Exit codes: 0 on
 success, 2 on validation errors (the message names the offending field), 3 on
 numerical failures; ``main`` returns them, argparse's own errors included.
+``estimate`` warns on stderr when no fit left its starting point.
 
 argparse is the only parser, and each default is declared once, on its flag.
 A --config file holds flat ``key = value`` lines; blank lines and lines
@@ -270,6 +271,12 @@ def cmd_estimate(args: argparse.Namespace) -> str:
         raise ValidationError("format: estimate emits JSON only")
     icfg = _interferometer_config(args)
     result = crb_experiment(icfg, args.shots, args.replications, args.seed)
+    if all(fit.iterations == 0 for fit in result.fits):
+        print(
+            "warning: every fit stopped at 0 iterations; the estimates are the "
+            "starting points, not maximum-likelihood estimates",
+            file=sys.stderr,
+        )
     return json_dumps(result.to_json_dict())
 
 

@@ -8,12 +8,14 @@ bound F^-1 / M.
 
 The likelihood and its gradient depend on the data only through the empirical
 second-moment matrix, so each optimizer step costs a few 4x4 operations no
-matter how many shots a record holds. The replications of the CRB experiment
-are fitted in lockstep: each optimizer round evaluates the pending points of
-every start of every replication, boundary-polish points on the unit circle
-included, in one stacked 4x4 likelihood call, with the same bits as fitting
-the records one by one. Replication seeds are spawned from the master seed
-with ``numpy.random.SeedSequence``, making multi-replication runs reproducible
+matter how many shots a record holds, and the CRB experiment draws every
+record into the same two buffers and keeps only its second moment. Its
+replications are fitted in lockstep by one projected BFGS over arrays, a row
+per start of each replication: each round evaluates the pending points of all
+rows, boundary-polish points on the unit circle included, in one stacked 4x4
+likelihood call, with the same bits as fitting the records one by one.
+Replication seeds are spawned from the master seed with
+``numpy.random.SeedSequence``, making multi-replication runs reproducible
 across machines. The choice of maximum likelihood is this package's, it is
 standard but not imposed by the problem; result records are labeled
 accordingly.
@@ -73,8 +75,12 @@ class MeasurementRecord:
     @cached_property
     def second_moment(self) -> np.ndarray:
         """Empirical second-moment matrix X^T X / M, the likelihood's sufficient statistic."""
-        s = self.outcomes.T @ self.outcomes / self.shots
-        return (s + s.T) / 2.0
+        return _second_moment(self.outcomes)
+
+
+def _second_moment(outcomes: np.ndarray) -> np.ndarray:
+    s = outcomes.T @ outcomes / len(outcomes)
+    return (s + s.T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +93,9 @@ class MleResult:
     gradient_norm: float
     iterations: int
     on_boundary: bool
+    #: why the fit stopped: "converged" (gradient criterion met), "plateau" (no
+    #: descent step left at float resolution) or "boundary" (stationary on the circle)
+    reason: str
 
     @property
     def g(self) -> tuple[float, float]:
@@ -149,16 +158,27 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be in [1, {MAX_SHOTS}]")
-    chol = np.linalg.cholesky(_measured_covariance(cfg))
-    rng = np.random.default_rng(seed)
-    out = np.empty((shots, 4))
-    start = 0
-    while start < shots:
-        stop = min(start + _SAMPLE_CHUNK, shots)
-        out[start:stop] = rng.standard_normal((stop - start, 4)) @ chol.T
-        start = stop
+    (out,) = _outcome_buffers(cfg, shots, [seed])
     seed_value = seed if isinstance(seed, (int, np.integer)) else -1
     return MeasurementRecord(outcomes=out, seed=int(seed_value), config=cfg)
+
+
+def _outcome_buffers(cfg: InterferometerConfig, shots: int, seeds):
+    """For each seed in turn, yield its record's outcomes (shots x 4).
+
+    Rows are chol @ z for standard normals z, drawn _SAMPLE_CHUNK rows at a time.
+    One Cholesky factor, one chunk buffer and one outcome buffer serve every
+    seed: each yield overwrites the array the previous one returned.
+    """
+    chol = np.linalg.cholesky(_measured_covariance(cfg))
+    out, z = np.empty((shots, 4)), np.empty((min(shots, _SAMPLE_CHUNK), 4))
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for start in range(0, shots, len(z)):
+            rows = min(len(z), shots - start)
+            rng.standard_normal(out=z[:rows])
+            np.matmul(z[:rows], chol.T, out=out[start : start + rows])
+        yield out
 
 
 def _nll_and_grad(model: MeasuredModel, s: np.ndarray, g: np.ndarray):
@@ -202,11 +222,17 @@ def log_likelihood_gradient(record: MeasurementRecord, g1: float, g2: float) -> 
     return -record.shots * grads[0]
 
 
-def _project_disk(g: np.ndarray) -> np.ndarray:
-    norm = math.hypot(g[0], g[1])
-    if norm <= 1.0:
-        return g
-    return g / norm
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v (n x 2), by ``math.hypot`` (np.hypot rounds differently)."""
+    return np.fromiter(map(math.hypot, v[:, 0].tolist(), v[:, 1].tolist()), float, len(v))
+
+
+def _project_disk(v: np.ndarray) -> np.ndarray:
+    """Move each row of v (n x 2) onto the closed unit disk, in place; returns v."""
+    norms = _row_norms(v)
+    outside = ~(norms <= 1.0)
+    v[outside] /= norms[outside, None]
+    return v
 
 
 def _brentq(f, xa: float, xb: float, xtol: float):
@@ -268,8 +294,8 @@ def _boundary_polish(x: np.ndarray, f: float, grad: np.ndarray):
     Used when the iterate is pinned on the boundary with an inward-pointing
     gradient; the remaining freedom is the angle, where a bracketed root of the
     tangential derivative converges far faster than projected steps. A
-    generator like ``_projected_bfgs``: it yields each circle point it needs
-    evaluated, none twice, and returns the new (x, f, grad).
+    generator: it yields each circle point it needs evaluated, none twice, is
+    sent (f, grad) at that point, and returns the new (x, f, grad).
     """
     phi = math.atan2(x[1], x[0])
     cache: dict[float, tuple] = {}
@@ -300,79 +326,19 @@ def _boundary_polish(x: np.ndarray, f: float, grad: np.ndarray):
     return x, f, grad
 
 
-def _projected_bfgs(x0: np.ndarray):
-    """Minimize over the closed unit disk: BFGS directions, projected steps.
-
-    A generator: it yields each point it needs evaluated and is sent (f, grad)
-    at that point, so one caller can evaluate the points of many runs in one
-    stacked call; it returns (x, f, pg_norm, iterations). The points of the
-    boundary refinement are yielded the same way.
-
-    Convergence is declared when the projected-gradient displacement
-    ||x - proj(x - grad)|| falls below GRADIENT_TOL (the plain gradient norm at
-    interior points). Boundary-pinned iterates are refined along the circle.
-    Raises ConvergenceError with the best iterate after MAX_ITERATIONS.
-    """
-    x = _project_disk(np.asarray(x0, dtype=float))
-    f, grad = yield x
-    h = np.eye(2)
-    for iteration in range(MAX_ITERATIONS):
-        pg = x - _project_disk(x - grad)
-        pg_norm = float(np.linalg.norm(pg))
-        if pg_norm <= GRADIENT_TOL:
-            return x, f, pg_norm, iteration
-        if math.hypot(x[0], x[1]) >= 1.0 - 1e-12 and float(grad @ x) <= 0.0:
-            x_new, f_new, grad_new = yield from _boundary_polish(x, f, grad)
-            if np.array_equal(x_new, x):
-                # tangentially stationary at float resolution
-                return x, f, pg_norm, iteration
-            x, f, grad = x_new, f_new, grad_new
-            continue
-        direction = -h @ grad
-        if float(direction @ grad) >= 0.0:
-            direction = -grad
-        step = 1.0
-        x_new = f_new = grad_new = None
-        while step > 1e-20:
-            candidate = _project_disk(x + step * direction)
-            f_cand, g_cand = yield candidate
-            # Armijo on the projected displacement; the strict decrease guards
-            # against accepting zero-progress steps on the float plateau
-            if f_cand < f and f_cand <= f + 1e-4 * float(grad @ (candidate - x)):
-                x_new, f_new, grad_new = candidate, f_cand, g_cand
-                break
-            step *= 0.5
-        if x_new is None:
-            # no representable descent left; optimal at floating-point resolution
-            return x, f, pg_norm, iteration
-        s = x_new - x
-        y = grad_new - grad
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            rho = 1.0 / sy
-            left = np.eye(2) - rho * np.outer(s, y)
-            h = left @ h @ left.T + rho * np.outer(s, s)
-        x, f, grad = x_new, f_new, grad_new
-    pg_norm = float(np.linalg.norm(x - _project_disk(x - grad)))
-    raise ConvergenceError(
-        f"MLE did not converge in {MAX_ITERATIONS} iterations "
-        f"(projected gradient norm {pg_norm:.3e})",
-        best=(float(x[0]), float(x[1])),
-    )
-
-
 def moment_initializer(record: MeasurementRecord) -> tuple[float, float]:
     """Method-of-moments starting point from the empirical second moment."""
-    return _moment_start(record.second_moment, record.config.source.epsilon)
+    g1, g2 = _moment_starts(record.second_moment[None], record.config.source.epsilon)[0]
+    return (float(g1), float(g2))
 
 
-def _moment_start(s: np.ndarray, eps: float) -> tuple[float, float]:
-    g1 = (s[0, 2] + s[1, 3]) / eps
-    g2 = (s[0, 3] - s[1, 2]) / eps
-    norm = math.hypot(g1, g2)
-    if norm > 0.999:
-        g1, g2 = g1 * 0.999 / norm, g2 * 0.999 / norm
-    return (g1, g2)
+def _moment_starts(s: np.ndarray, eps: float) -> np.ndarray:
+    """Method-of-moments coherence of each second moment s[i], pulled inside |g| <= 0.999."""
+    g = np.column_stack([s[:, 0, 2] + s[:, 1, 3], s[:, 0, 3] - s[:, 1, 2]]) / eps
+    norms = _row_norms(g)
+    far = norms > 0.999
+    g[far] = g[far] * 0.999 / norms[far, None]
+    return g
 
 
 def _mle_lockstep(
@@ -380,55 +346,143 @@ def _mle_lockstep(
 ) -> tuple[MleResult, ...]:
     """Maximum likelihood for each record's second moment in ``moments`` (R x 4 x 4).
 
-    Every start of every record runs in lockstep: each round evaluates all
-    pending points in one stacked likelihood call and sends the results back.
-    Per record, the first start wins a tie. A ConvergenceError is raised for the
-    first failing (record, start) in that order, the one a record-by-record
-    loop would raise.
-    """
-    model, eps = cfg.model, cfg.source.epsilon
-    owners, runs = [], []
-    for i, s in enumerate(moments):
-        starts = [np.zeros(2), np.array(_moment_start(s, eps))]
-        if np.linalg.norm(starts[1] - starts[0]) < 1e-12:
-            starts = starts[:1]
-        for x0 in starts:
-            owners.append(i)
-            runs.append(_projected_bfgs(x0))
+    Projected BFGS on the per-shot negative log-likelihood over the closed unit
+    disk, from the origin and from the method-of-moments point (one start when
+    they coincide). Each start of each record is one row of the state arrays.
+    A round evaluates the pending point of every running start, a line-search
+    candidate or a circle point of the boundary polish, in one stacked
+    likelihood call; Armijo, step halving and the BFGS update then act on masks.
+    Every row gets the bits a start fitted on its own would.
 
-    pending = {k: next(run) for k, run in enumerate(runs)}
-    finals, failures = {}, {}
-    while pending:
-        keys = list(pending)
-        values, grads = _nll_and_grad(
-            model, moments[[owners[k] for k in keys]], np.array([pending[k] for k in keys])
-        )
-        for k, f, grad in zip(keys, values, grads):
+    A run ends when the projected-gradient displacement ||x - proj(x - grad)||
+    is at most GRADIENT_TOL ("converged"), when no step, halved down to 1e-20
+    or until it rounds to x itself, descends ("plateau"), or when it is pinned
+    on the circle with an inward gradient and the polish along the circle
+    leaves x unchanged ("boundary"); a polish that moves x is one iteration.
+    Per record the lower final value wins, the first start on a tie. A run
+    still going after MAX_ITERATIONS (read at call time) fails; once every run
+    has ended, the ConvergenceError of the first failing (record, start) is
+    raised, its iterate as ``best``.
+    """
+    model, max_iterations = cfg.model, MAX_ITERATIONS
+    starts = _moment_starts(moments, cfg.source.epsilon)
+    second = ~(np.sqrt(np.vecdot(starts, starts)) < 1e-12)
+    n_starts = 1 + second
+    first = np.cumsum(n_starts) - n_starts
+    owner = np.repeat(np.arange(len(moments)), n_starts)
+    n = len(owner)
+    x = np.zeros((n, 2))
+    x[first[second] + 1] = starts[second]
+    f, grad = _nll_and_grad(model, moments[owner], x)
+    h = np.tile(np.eye(2), (n, 1, 1))
+    direction, step = np.empty((n, 2)), np.ones(n)
+    pg_norm, iterations = np.empty(n), np.zeros(n, dtype=int)
+    reason = np.empty(n, dtype=object)
+    polish, failures = {}, {}
+
+    def iterate(runs: np.ndarray) -> np.ndarray:
+        """Start the next iteration of ``runs``: end them, start a polish, or set
+        up a line search; returns the runs that search."""
+        if not len(runs):
+            return runs
+        xr, gr = x[runs], grad[runs]
+        pg = xr - _project_disk(xr - gr)
+        pg_norm[runs] = np.sqrt(np.vecdot(pg, pg))
+        capped = iterations[runs] >= max_iterations
+        for k in runs[capped].tolist():
+            failures[k] = ConvergenceError(
+                f"MLE did not converge in {max_iterations} iterations "
+                f"(projected gradient norm {pg_norm[k]:.3e})",
+                best=(float(x[k, 0]), float(x[k, 1])),
+            )
+        converged = ~capped & (pg_norm[runs] <= GRADIENT_TOL)
+        reason[runs[converged]] = "converged"
+        pinned = (_row_norms(xr) >= 1.0 - 1e-12) & (np.vecdot(gr, xr) <= 0.0)
+        pinned &= ~(capped | converged)
+        for k in runs[pinned].tolist():
+            run = _boundary_polish(x[k].copy(), f[k], grad[k].copy())
+            polish[k] = (run, next(run))
+        searching = ~(capped | converged | pinned)
+        runs, gr = runs[searching], gr[searching]
+        d = np.matvec(-h[runs], gr)
+        uphill = np.vecdot(d, gr) >= 0.0
+        d[uphill] = -gr[uphill]
+        direction[runs], step[runs] = d, 1.0
+        return runs
+
+    def propose(runs: np.ndarray):
+        """The line-search candidates of ``runs``; returns (runs, candidates)
+        without the runs whose step rounds to x itself, which end on the plateau:
+        f cannot descend there, nor at any shorter step, which rounds to x too."""
+        candidates = x[runs] + step[runs, None] * direction[runs]
+        stuck = (candidates == x[runs]).all(axis=1)
+        candidates = _project_disk(candidates)
+        stuck &= (candidates == x[runs]).all(axis=1)
+        reason[runs[stuck]] = "plateau"
+        return runs[~stuck], candidates[~stuck]
+
+    search, candidates = propose(iterate(np.arange(n)))
+    while len(search) or polish:
+        xs, fs, gs = x[search], f[search], grad[search]
+        rows, points = search, candidates
+        if polish:
+            rows = np.concatenate([search, list(polish)])
+            points = np.concatenate([candidates, [point for _, point in polish.values()]])
+        values, grads = _nll_and_grad(model, moments[owner[rows]], points)
+
+        moved = []
+        m = len(search)
+        for k, value, g in zip(rows[m:].tolist(), values[m:], grads[m:]):
+            run, _ = polish.pop(k)
             try:
-                pending[k] = runs[k].send((f, grad))
-            except StopIteration as done:
-                finals[k] = done.value
-                del pending[k]
+                polish[k] = (run, run.send((value, g)))
+                continue
+            except StopIteration as stop:
+                x_new, f_new, grad_new = stop.value
             except ConvergenceError as exc:
                 failures[k] = exc
-                del pending[k]
+                continue
+            if np.array_equal(x_new, x[k]):
+                reason[k] = "boundary"  # tangentially stationary at float resolution
+            else:
+                x[k], f[k], grad[k] = x_new, f_new, grad_new
+                moved.append(k)
+
+        f_cand, g_cand = values[:m], grads[:m]
+        # Armijo on the projected displacement; the strict decrease guards
+        # against accepting zero-progress steps on the float plateau
+        accept = (f_cand < fs) & (f_cand <= fs + 1e-4 * np.vecdot(gs, candidates - xs))
+        done = search[accept]
+        if len(done):
+            s, y = candidates[accept] - xs[accept], g_cand[accept] - gs[accept]
+            sy = np.vecdot(s, y)
+            curved = sy > 1e-12 * np.sqrt(np.vecdot(s, s)) * np.sqrt(np.vecdot(y, y))
+            s, y, rho, update = s[curved], y[curved], 1.0 / sy[curved, None, None], done[curved]
+            left = np.eye(2) - rho * (s[:, :, None] * y[:, None, :])
+            ss = rho * (s[:, :, None] * s[:, None, :])
+            h[update] = left @ h[update] @ left.transpose(0, 2, 1) + ss
+            x[done], f[done], grad[done] = candidates[accept], f_cand[accept], g_cand[accept]
+
+        halve = search[~accept]
+        step[halve] *= 0.5
+        going = step[halve] > 1e-20
+        # no representable descent left; optimal at floating-point resolution
+        reason[halve[~going]] = "plateau"
+        if moved:
+            done = np.concatenate([done, moved])
+        iterations[done] += 1
+        search, candidates = propose(np.concatenate([halve[going], iterate(done)]))
     if failures:
         raise failures[min(failures)]
 
-    best = [None] * len(moments)
-    for k, i in enumerate(owners):
-        if best[i] is None or finals[k][1] < best[i][1]:
-            best[i] = finals[k]
+    last = first + second
+    best = np.where(f[last] < f[first], last, first)
+    columns = (x[best, 0], x[best, 1], -shots * f[best], pg_norm[best], iterations[best])
     return tuple(
-        MleResult(
-            g1=float(x[0]),
-            g2=float(x[1]),
-            log_likelihood=-shots * float(f),
-            gradient_norm=pg_norm,
-            iterations=iterations,
-            on_boundary=math.hypot(x[0], x[1]) >= 1.0 - 1e-9,
+        MleResult(g1, g2, log_likelihood, gradient_norm, count, radius >= 1.0 - 1e-9, why)
+        for g1, g2, log_likelihood, gradient_norm, count, radius, why in zip(
+            *(column.tolist() for column in columns), _row_norms(x[best]).tolist(), reason[best]
         )
-        for x, f, pg_norm, iterations in best
     )
 
 
@@ -449,8 +503,10 @@ def crb_experiment(
     """Replicated MLE spread versus the Cramer-Rao bound F^-1 / M.
 
     Each replication samples a fresh record from a spawned child seed and keeps
-    its second moment; all replications are then fitted as ``mle`` fits one
-    record, in lockstep. The empirical covariance of the estimates across
+    its second moment, the bits of ``sample_records(...).second_moment``; the
+    records share one Cholesky factor and two buffers. All replications are
+    then fitted as ``mle`` fits one record, in lockstep, with the bits of
+    record-by-record fits. The empirical covariance of the estimates across
     replications is compared with the CRB. The efficiency window and the
     minimum-eigenvalue check are reported as flags, not raised as errors
     (finite-sample misses are data).
@@ -466,8 +522,7 @@ def crb_experiment(
     if not 1 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be in [1, {MAX_SHOTS}]")
     children = np.random.SeedSequence(seed).spawn(replications)
-    # only the sufficient statistic outlives each record, so memory does not grow with R
-    moments = np.stack([sample_records(cfg, shots, child).second_moment for child in children])
+    moments = np.stack([_second_moment(out) for out in _outcome_buffers(cfg, shots, children)])
     fits = _mle_lockstep(cfg, moments, shots)
     estimates = np.array([fit.g for fit in fits])
 

@@ -170,6 +170,17 @@ class TestEstimateCommand:
         assert code == 0
         assert json.loads(out)["trace_ratio"] > 0.0
 
+    def test_says_when_no_fit_left_its_start(self, capsys):
+        # at eps 1e-9 the gradient is already below tolerance at both starts
+        args = ["estimate", "--epsilon", "1e-9", "--shots", "1000", "--replications", "30"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert err == (
+            "warning: every fit stopped at 0 iterations; the estimates are the "
+            "starting points, not maximum-likelihood estimates\n"
+        )
+        assert json.loads(out)["trace_ratio"] < 1e-10
+
     def test_too_few_replications_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--replications", "10")
         assert code == 2
@@ -189,8 +200,9 @@ class TestEstimateCommand:
 
     def test_default_run_hits_efficiency_window(self, capsys):
         # defaults: 10^4 shots, 100 replications, seed 0
-        code, out, _ = run_cli(capsys, "estimate")
+        code, out, err = run_cli(capsys, "estimate")
         assert code == 0
+        assert err == ""
         payload = json.loads(out)
         assert payload["shots"] == 10_000 and payload["replications"] == 100
         assert 0.8 <= payload["trace_ratio"] <= 1.5

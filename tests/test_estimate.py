@@ -9,12 +9,15 @@ import pytest
 import cvlbi.estimate as estimate_module
 from cvlbi.core import ConvergenceError, ValidationError, gaussian_log_pdf
 from cvlbi.estimate import (
+    GRADIENT_TOL,
     LOG_2PI,
     MAX_REPLICATIONS,
     MAX_SHOTS,
     MeasurementRecord,
+    _SAMPLE_CHUNK,
     _nll_and_grad,
-    _projected_bfgs,
+    _outcome_buffers,
+    _second_moment,
     crb_experiment,
     log_likelihood,
     log_likelihood_gradient,
@@ -29,11 +32,15 @@ CFG = InterferometerConfig.from_values(0.1, 0.0, 0.0, n_bar=1.0, theta=0.0)
 CFG_COHERENT = InterferometerConfig.from_values(0.2, 0.3, 0.1, n_bar=1.0, theta=0.0)
 
 #: (config, shots, replications): the benchmark's crb config, the CLI default,
-#: and a config where most replications end on the boundary of the disk
+#: a config where most replications end on the boundary of the disk, one whose
+#: true coherence lies on the circle, and a squeezed one where some fits end on
+#: the float plateau
 LOCKSTEP_CASES = {
     "crb": (InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1.0, theta=0.0), 10_000, 100),
     "cli-default": (CFG, 10_000, 100),
     "boundary": (InterferometerConfig.from_values(0.05, 0.9, 0.3, n_bar=3.0, theta=1.0), 500, 60),
+    "circle": (InterferometerConfig.from_values(0.1, 1.0, 0.0, n_bar=1.0, theta=0.0), 2000, 30),
+    "squeezed": (InterferometerConfig.from_values(0.3, -0.5, 0.6, n_bar=10.0, theta=2.0), 2000, 40),
 }
 
 
@@ -67,26 +74,99 @@ def yielded(x):
     return (yield x)
 
 
+def project_disk(g):
+    norm = math.hypot(g[0], g[1])
+    if norm <= 1.0:
+        return g
+    return g / norm
+
+
+def projected_bfgs(x0):
+    """Reference: one start of the MLE's projected BFGS, a generator.
+
+    It yields each point it needs evaluated, is sent (f, grad) there, and
+    returns (x, f, pg_norm, iterations, reason); the points of the boundary
+    polish are yielded the same way. Stops when the projected-gradient
+    displacement ||x - proj(x - grad)|| is at most GRADIENT_TOL, when no halved
+    step down to 1e-20 descends, or when the polish of an iterate pinned on the
+    circle leaves it unchanged; raises ConvergenceError after MAX_ITERATIONS.
+    """
+    x = project_disk(np.asarray(x0, dtype=float))
+    f, grad = yield x
+    h = np.eye(2)
+    for iteration in range(estimate_module.MAX_ITERATIONS):
+        pg = x - project_disk(x - grad)
+        pg_norm = float(np.linalg.norm(pg))
+        if pg_norm <= GRADIENT_TOL:
+            return x, f, pg_norm, iteration, "converged"
+        if math.hypot(x[0], x[1]) >= 1.0 - 1e-12 and float(grad @ x) <= 0.0:
+            x_new, f_new, grad_new = yield from estimate_module._boundary_polish(x, f, grad)
+            if np.array_equal(x_new, x):
+                return x, f, pg_norm, iteration, "boundary"
+            x, f, grad = x_new, f_new, grad_new
+            continue
+        direction = -h @ grad
+        if float(direction @ grad) >= 0.0:
+            direction = -grad
+        step = 1.0
+        x_new = f_new = grad_new = None
+        while step > 1e-20:
+            candidate = project_disk(x + step * direction)
+            f_cand, g_cand = yield candidate
+            if f_cand < f and f_cand <= f + 1e-4 * float(grad @ (candidate - x)):
+                x_new, f_new, grad_new = candidate, f_cand, g_cand
+                break
+            step *= 0.5
+        if x_new is None:
+            return x, f, pg_norm, iteration, "plateau"
+        s = x_new - x
+        y = grad_new - grad
+        sy = float(s @ y)
+        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            rho = 1.0 / sy
+            left = np.eye(2) - rho * np.outer(s, y)
+            h = left @ h @ left.T + rho * np.outer(s, s)
+        x, f, grad = x_new, f_new, grad_new
+    pg_norm = float(np.linalg.norm(x - project_disk(x - grad)))
+    raise ConvergenceError(
+        f"MLE did not converge in {estimate_module.MAX_ITERATIONS} iterations "
+        f"(projected gradient norm {pg_norm:.3e})",
+        best=(float(x[0]), float(x[1])),
+    )
+
+
+def moment_start(s, eps):
+    """Reference: the method-of-moments start of one second moment."""
+    g1 = (s[0, 2] + s[1, 3]) / eps
+    g2 = (s[0, 3] - s[1, 2]) / eps
+    norm = math.hypot(g1, g2)
+    if norm > 0.999:
+        g1, g2 = g1 * 0.999 / norm, g2 * 0.999 / norm
+    return (g1, g2)
+
+
 def sequential_mle(record):
     """Reference: mle as a plain loop, each start run to its end in turn on the
     one-matrix evaluator; the better final value wins, the first start on a tie."""
     model, s = record.config.model, record.second_moment
-    starts = [np.zeros(2), np.array(moment_initializer(record))]
+    starts = [np.zeros(2), np.array(moment_start(s, record.config.source.epsilon))]
     if np.linalg.norm(starts[1] - starts[0]) < 1e-12:
         starts = starts[:1]
     best = None
     for x0 in starts:
-        run = _projected_bfgs(x0)
-        x, f, pg_norm, iterations = drive(run, lambda g: one_matrix_nll_and_grad(model, s, g))
-        if best is None or f < best[1]:
-            best = (x, f, pg_norm, iterations)
-    x, f, pg_norm, iterations = best
+        run = projected_bfgs(x0)
+        final = drive(run, lambda g: one_matrix_nll_and_grad(model, s, g))
+        if best is None or final[1] < best[1]:
+            best = final
+    x, f, pg_norm, iterations, reason = best
     on_boundary = math.hypot(x[0], x[1]) >= 1.0 - 1e-9
-    return (float(x[0]), float(x[1]), -record.shots * f, pg_norm, iterations, on_boundary)
+    return (float(x[0]), float(x[1]), -record.shots * f, pg_norm, iterations, on_boundary, reason)
 
 
 def fit_fields(fit):
-    return (fit.g1, fit.g2, fit.log_likelihood, fit.gradient_norm, fit.iterations, fit.on_boundary)
+    return (
+        fit.g1, fit.g2, fit.log_likelihood, fit.gradient_norm, fit.iterations, fit.on_boundary, fit.reason
+    )
 
 
 def record_by_record(fit, cfg, shots, replications, seed):
@@ -115,6 +195,23 @@ class TestSampling:
         a = sample_records(CFG, 1000, seed=9)
         b = sample_records(CFG, 1000, seed=9)
         assert np.array_equal(a.outcomes, b.outcomes)
+
+    @pytest.mark.parametrize("shots, count", [(1000, 5), (1_100_000, 2)])
+    def test_fused_moments_equal_sample_records_bitwise(self, shots, count):
+        # 1.1M shots is more than one _SAMPLE_CHUNK: the multi-chunk fill of both paths
+        children = np.random.SeedSequence(4).spawn(count)
+        fused = [_second_moment(out) for out in _outcome_buffers(CFG_COHERENT, shots, children)]
+        assert len(fused) == count
+        chol = np.linalg.cholesky(CFG_COHERENT.model.covariance(0.3, 0.1))
+        for moment, child in zip(fused, np.random.SeedSequence(4).spawn(count)):
+            record = sample_records(CFG_COHERENT, shots, child)
+            assert np.array_equal(moment, record.second_moment)
+            rng = np.random.default_rng(child)
+            chunks = [
+                rng.standard_normal((min(_SAMPLE_CHUNK, shots - start), 4)) @ chol.T
+                for start in range(0, shots, _SAMPLE_CHUNK)
+            ]
+            assert np.array_equal(record.outcomes, np.concatenate(chunks))
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValidationError, match="shots"):
@@ -351,11 +448,34 @@ class TestLockstepFits:
             return _nll_and_grad(model, s, g)
 
         monkeypatch.setattr(estimate_module, "_nll_and_grad", counted)
+        for case in ("boundary", "circle"):
+            rows.clear()
+            cfg, shots, replications = LOCKSTEP_CASES[case]
+            result = crb_experiment(cfg, shots, replications, seed=0)
+            assert result.boundary_count > replications // 2
+            assert rows[0] >= replications
+            assert all(0 < later <= earlier for earlier, later in zip(rows, rows[1:]))
+
+    def test_reasons_agree_with_the_diagnostics(self):
+        reasons = set()
+        for cfg, shots, replications in LOCKSTEP_CASES.values():
+            for fit in crb_experiment(cfg, shots, replications, seed=0).fits:
+                reasons.add(fit.reason)
+                assert (fit.gradient_norm <= GRADIENT_TOL) == (fit.reason == "converged")
+        assert reasons == {"converged", "plateau"}
+
+    def test_polish_that_stays_put_ends_on_the_boundary(self, monkeypatch):
+        def stationary(x, f, grad):
+            yield x
+            return x, f, grad
+
+        monkeypatch.setattr(estimate_module, "_boundary_polish", stationary)
         cfg, shots, replications = LOCKSTEP_CASES["boundary"]
         result = crb_experiment(cfg, shots, replications, seed=0)
-        assert result.boundary_count > replications // 2
-        assert rows[0] >= replications
-        assert all(later <= earlier for earlier, later in zip(rows, rows[1:]))
+        fits = [fit_fields(f) for f in result.fits]
+        assert fits == record_by_record(sequential_mle, cfg, shots, replications, 0)
+        stopped = [f for f in result.fits if f.reason == "boundary"]
+        assert stopped and all(f.on_boundary and f.gradient_norm > GRADIENT_TOL for f in stopped)
 
     # at 3 iterations a later start fails in fewer rounds than the first failing
     # one on the boundary case; at 13 the first failing replication is a later one
