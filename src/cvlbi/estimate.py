@@ -8,12 +8,14 @@ bound F^-1 / M.
 
 The likelihood and its gradient depend on the data only through the empirical
 second-moment matrix, so each optimizer step costs a few 4x4 operations no
-matter how many shots a record holds, and the CRB experiment draws every
-record into the same two buffers and keeps only its second moment. Its
-replications are fitted in lockstep by one projected BFGS over arrays, a row
-per start of each replication: each round evaluates the pending points of all
-rows, boundary-polish points on the unit circle included, in one stacked 4x4
-likelihood call, with the same bits as fitting the records one by one.
+matter how many shots a record holds, and the CRB experiment keeps only the
+second moment of each record, drawn on one thread per usable CPU (at most four)
+into two reused buffers per thread; each record has its own spawned seed, so no
+result depends on the thread count. Its replications are fitted in lockstep by
+one projected BFGS over arrays, a row per start of each replication: each round
+evaluates the pending points of all rows, boundary-polish points on the unit
+circle included, in one stacked 4x4 likelihood call, with the same bits as
+fitting the records one by one.
 Replication seeds are spawned from the master seed with
 ``numpy.random.SeedSequence``, making multi-replication runs reproducible
 across machines. The choice of maximum likelihood is this package's, it is
@@ -24,6 +26,8 @@ accordingly.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,13 +43,18 @@ LOG_2PI = math.log(2.0 * math.pi)
 GRADIENT_TOL = 1e-8
 MAX_ITERATIONS = 500
 MIN_REPLICATIONS = 30
-#: a record holds 32 bytes per shot, so the largest one takes 320 MB
+#: a record holds 32 bytes per shot, so the largest one takes 320 MB; the outcome and
+#: chunk buffers of crb_experiment's sampling threads together hold at most as many
+#: rows, unless one thread alone needs more
 MAX_SHOTS = 10_000_000
 #: replications keep 128 bytes of moments plus one fit each; run time grows with them
 MAX_REPLICATIONS = 100_000
 
 #: rows generated per chunk when sampling large records
 _SAMPLE_CHUNK = 1 << 20
+#: most threads drawing one CRB experiment's records: the gain was measured on two
+#: CPUs only, and an affinity mask does not show a container's CPU quota
+_MAX_SAMPLING_THREADS = 4
 
 #: asymptotic-efficiency acceptance window on trace(cov_hat) / trace(CRB)
 EFFICIENCY_WINDOW = (0.8, 1.5)
@@ -158,19 +167,19 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be in [1, {MAX_SHOTS}]")
-    (out,) = _outcome_buffers(cfg, shots, [seed])
+    chol = np.linalg.cholesky(_measured_covariance(cfg))
+    (out,) = _outcome_buffers(chol, shots, [seed])
     seed_value = seed if isinstance(seed, (int, np.integer)) else -1
     return MeasurementRecord(outcomes=out, seed=int(seed_value), config=cfg)
 
 
-def _outcome_buffers(cfg: InterferometerConfig, shots: int, seeds):
+def _outcome_buffers(chol: np.ndarray, shots: int, seeds):
     """For each seed in turn, yield its record's outcomes (shots x 4).
 
     Rows are chol @ z for standard normals z, drawn _SAMPLE_CHUNK rows at a time.
-    One Cholesky factor, one chunk buffer and one outcome buffer serve every
-    seed: each yield overwrites the array the previous one returned.
+    One chunk buffer and one outcome buffer serve every seed: each yield
+    overwrites the array the previous one returned.
     """
-    chol = np.linalg.cholesky(_measured_covariance(cfg))
     out, z = np.empty((shots, 4)), np.empty((min(shots, _SAMPLE_CHUNK), 4))
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -179,6 +188,52 @@ def _outcome_buffers(cfg: InterferometerConfig, shots: int, seeds):
             rng.standard_normal(out=z[:rows])
             np.matmul(z[:rows], chol.T, out=out[start : start + rows])
         yield out
+
+
+def _sampling_workers(shots: int, replications: int) -> int:
+    """Threads that draw a CRB experiment's records: at most one per usable CPU and
+    per replication, at most _MAX_SAMPLING_THREADS, and few enough that their
+    outcome and chunk buffers together hold at most MAX_SHOTS rows."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    rows = shots + min(shots, _SAMPLE_CHUNK)
+    return min(cpus or 1, replications, _MAX_SAMPLING_THREADS, max(1, MAX_SHOTS // rows))
+
+
+def _second_moments(chol: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """The second moment of each seed's record (len(seeds) x 4 x 4), drawn in parallel.
+
+    The seeds are split into _sampling_workers contiguous blocks, each sampled by
+    its own _outcome_buffers, whose numpy draws and BLAS products release the GIL:
+    block 0 on the calling thread, each other block on a ``threading.Thread``.
+    Row j has the bits of seed j's ``sample_records(...).second_moment`` however
+    the seeds are split. Once every block has ended, the first failing block's
+    exception is raised. No public function runs on a worker thread, since the
+    benchmark's span tracer keeps one span stack and is not thread-safe.
+    """
+    moments = np.empty((len(seeds), 4, 4))
+    workers = _sampling_workers(shots, len(seeds))
+    bounds = [len(seeds) * block // workers for block in range(workers + 1)]
+    errors = {}
+
+    def fill(block: int):
+        lo, hi = bounds[block], bounds[block + 1]
+        try:
+            for j, out in enumerate(_outcome_buffers(chol, shots, seeds[lo:hi]), lo):
+                moments[j] = _second_moment(out)
+        except Exception as exc:  # raised on the calling thread below
+            errors[block] = exc
+
+    threads = [threading.Thread(target=fill, args=(block,)) for block in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        fill(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return moments
 
 
 def _nll_and_grad(model: MeasuredModel, s: np.ndarray, g: np.ndarray):
@@ -503,9 +558,10 @@ def crb_experiment(
     """Replicated MLE spread versus the Cramer-Rao bound F^-1 / M.
 
     Each replication samples a fresh record from a spawned child seed and keeps
-    its second moment, the bits of ``sample_records(...).second_moment``; the
-    records share one Cholesky factor and two buffers. All replications are
-    then fitted as ``mle`` fits one record, in lockstep, with the bits of
+    its second moment, the bits of ``sample_records(...).second_moment``. The
+    records share one Cholesky factor and are drawn on one thread per usable
+    CPU, at most four; the results do not depend on the thread count. All replications
+    are then fitted as ``mle`` fits one record, in lockstep, with the bits of
     record-by-record fits. The empirical covariance of the estimates across
     replications is compared with the CRB. The efficiency window and the
     minimum-eigenvalue check are reported as flags, not raised as errors
@@ -521,8 +577,8 @@ def crb_experiment(
         raise ValidationError(f"replications must be <= {MAX_REPLICATIONS}")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be in [1, {MAX_SHOTS}]")
-    children = np.random.SeedSequence(seed).spawn(replications)
-    moments = np.stack([_second_moment(out) for out in _outcome_buffers(cfg, shots, children)])
+    chol = np.linalg.cholesky(_measured_covariance(cfg))
+    moments = _second_moments(chol, shots, np.random.SeedSequence(seed).spawn(replications))
     fits = _mle_lockstep(cfg, moments, shots)
     estimates = np.array([fit.g for fit in fits])
 

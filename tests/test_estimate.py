@@ -1,23 +1,29 @@
 """Tests for sampling, likelihood, maximum likelihood, and the CRB experiment."""
 
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import cvlbi.estimate as estimate_module
-from cvlbi.core import ConvergenceError, ValidationError, gaussian_log_pdf
+from cvlbi.core import ConvergenceError, NumericalError, ValidationError, gaussian_log_pdf
 from cvlbi.estimate import (
     GRADIENT_TOL,
     LOG_2PI,
     MAX_REPLICATIONS,
     MAX_SHOTS,
     MeasurementRecord,
+    _MAX_SAMPLING_THREADS,
     _SAMPLE_CHUNK,
     _nll_and_grad,
     _outcome_buffers,
+    _sampling_workers,
     _second_moment,
+    _second_moments,
     crb_experiment,
     log_likelihood,
     log_likelihood_gradient,
@@ -200,9 +206,9 @@ class TestSampling:
     def test_fused_moments_equal_sample_records_bitwise(self, shots, count):
         # 1.1M shots is more than one _SAMPLE_CHUNK: the multi-chunk fill of both paths
         children = np.random.SeedSequence(4).spawn(count)
-        fused = [_second_moment(out) for out in _outcome_buffers(CFG_COHERENT, shots, children)]
-        assert len(fused) == count
         chol = np.linalg.cholesky(CFG_COHERENT.model.covariance(0.3, 0.1))
+        fused = [_second_moment(out) for out in _outcome_buffers(chol, shots, children)]
+        assert len(fused) == count
         for moment, child in zip(fused, np.random.SeedSequence(4).spawn(count)):
             record = sample_records(CFG_COHERENT, shots, child)
             assert np.array_equal(moment, record.second_moment)
@@ -503,6 +509,116 @@ class TestLockstepFits:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def use_workers(monkeypatch, count):
+    monkeypatch.setattr(estimate_module, "_sampling_workers", lambda shots, replications: count)
+
+
+def record_threads(monkeypatch) -> list:
+    """Make ``threading.Thread`` record each thread it constructs; returns the record."""
+    made = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return made
+
+
+class TestParallelSampling:
+    @pytest.mark.parametrize(
+        "shots, cpus, replications, expected",
+        [
+            (MAX_SHOTS, 64, 100, 1),
+            (MAX_SHOTS // 2, 64, 100, 1),
+            (MAX_SHOTS // 2 - _SAMPLE_CHUNK, 64, 100, 2),
+            (MAX_SHOTS // 2 - _SAMPLE_CHUNK + 1, 64, 100, 1),
+            (MAX_SHOTS // 4 - _SAMPLE_CHUNK, 64, 100, 4),
+            (10_000, 1, 100, 1),
+            (10_000, 2, 100, 2),
+            (10_000, 64, 100, _MAX_SAMPLING_THREADS),
+            (10_000, 64, 3, 3),
+        ],
+    )
+    def test_worker_count(self, monkeypatch, shots, cpus, replications, expected):
+        use_cpus(monkeypatch, cpus)
+        assert _sampling_workers(shots, replications) == expected
+
+    @pytest.mark.parametrize("cpu_count, expected", [(None, 1), (3, 3)])
+    def test_worker_count_without_an_affinity_mask(self, monkeypatch, cpu_count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert _sampling_workers(10_000, 100) == expected
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        use_cpus(monkeypatch, 1)
+        made = record_threads(monkeypatch)
+        crb_experiment(CFG, shots=500, replications=30, seed=0)
+        assert made == []
+
+    def test_bad_config_fails_before_any_thread(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        made = record_threads(monkeypatch)
+        cfg = InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1e13, theta=0.0)
+        message = r"measured covariance is numerically singular \(condition number 3\.790e\+13\)"
+        with pytest.raises(NumericalError, match=message):
+            crb_experiment(cfg, shots=500, replications=30, seed=0)
+        assert made == []
+
+    @pytest.mark.parametrize("replications", [30, 31, 101])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_moments_equal_a_serial_loop_bitwise(self, monkeypatch, workers, replications):
+        # more threads than CPUs, switching every microsecond: a lost or misplaced
+        # row would show as a moment that differs from its seed's record
+        use_workers(monkeypatch, workers)
+        made = record_threads(monkeypatch)
+        chol = np.linalg.cholesky(CFG_COHERENT.model.covariance(0.3, 0.1))
+        children = np.random.SeedSequence(11).spawn(replications)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            moments = _second_moments(chol, 1000, children)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(made) == workers - 1 and not any(t.is_alive() for t in made)
+        expected = [sample_records(CFG_COHERENT, 1000, child).second_moment for child in children]
+        assert moments.shape == (replications, 4, 4)
+        assert np.array_equal(moments, np.stack(expected))
+
+    @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, case):
+        cfg, shots, replications = LOCKSTEP_CASES[case]
+        results = []
+        for workers in (1, 2):
+            use_workers(monkeypatch, workers)
+            results.append(crb_experiment(cfg, shots, replications, seed=0))
+        one, two = results
+        assert [fit_fields(f) for f in one.fits] == [fit_fields(f) for f in two.fits]
+        assert one.to_json_dict() == two.to_json_dict()
+
+    def test_error_in_a_later_block_reaches_the_caller(self, monkeypatch):
+        def failing(out):
+            if threading.current_thread() is threading.main_thread():
+                return _second_moment(out)
+            raise RuntimeError(threading.current_thread().name)
+
+        use_workers(monkeypatch, 3)
+        made = record_threads(monkeypatch)
+        monkeypatch.setattr(estimate_module, "_second_moment", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as excinfo:
+            crb_experiment(CFG, shots=500, replications=30, seed=0)
+        # blocks 1 and 2 both fail; block 1, the first thread made, is the one raised
+        assert len(made) == 2 and str(excinfo.value) == made[0].name
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in made)
 
 
 class TestScoreStatistics:
