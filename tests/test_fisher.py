@@ -1,15 +1,19 @@
 """Tests for the Fisher-information routes and their cross-validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cvlbi.core import ValidationError
+from cvlbi.core import ValidationError, symplectic_form
 from cvlbi.fisher import (
     LIMIT_INFINITY,
     LIMIT_ZERO,
     MAX_MC_SAMPLES,
+    MC_CHUNK,
     PSD_FLOOR,
     FisherMatrix,
     _min_eigenvalue_2x2,
@@ -24,7 +28,7 @@ from cvlbi.interferometer import (
     reduced_covariance,
     reduced_covariance_closed,
 )
-from cvlbi.states import SourceParams, TmsvParams
+from cvlbi.states import SourceParams, TmsvParams, astronomical_covariance
 
 RNG_SEED = 91117
 
@@ -36,6 +40,70 @@ def random_config(rng) -> InterferometerConfig:
         SourceParams(rng.uniform(1e-3, 1.0), mag * math.cos(phase), mag * math.sin(phase)),
         TmsvParams(rng.uniform(0, 10), rng.uniform(0, 2 * np.pi)),
     )
+
+
+def paper_span_config(rng) -> InterferometerConfig:
+    """eps log-uniform in [1e-6, 2], n_bar log-uniform in [1e-3, 1e3], any theta, |g|^2 <= 0.8."""
+    phase = rng.uniform(0, 2 * np.pi)
+    mag = math.sqrt(rng.uniform(0, 0.8))
+    return InterferometerConfig.from_values(
+        10.0 ** rng.uniform(-6, math.log10(2.0)),
+        mag * math.cos(phase),
+        mag * math.sin(phase),
+        n_bar=10.0 ** rng.uniform(-3, 3),
+        theta=rng.uniform(0, 2 * np.pi),
+    )
+
+
+def score_reference(cfg: InterferometerConfig, x: np.ndarray) -> np.ndarray:
+    """Scores by the unwhitened formula (x^T V^-1 D_k V^-1 x - tr V^-1 D_k) / 2."""
+    inv = np.linalg.inv(cfg.model.covariance(cfg.source.g1, cfg.source.g2))
+    return np.column_stack([
+        0.5 * (np.einsum("ni,ij,nj->n", x, inv @ d @ inv, x) - np.trace(inv @ d))
+        for d in (cfg.model.d1, cfg.model.d2)
+    ])
+
+
+def monte_carlo_reference(cfg: InterferometerConfig, samples: int, seed: int):
+    """Chunk by chunk on the same draws: outcomes x = L z, scored by ``score_reference``.
+
+    Returns (entries, standard_error, score_mean, score_se) as
+    ``fisher_monte_carlo`` defines them.
+    """
+    chol = np.linalg.cholesky(cfg.model.covariance(cfg.source.g1, cfg.source.g2))
+    rng = np.random.default_rng(seed)
+    prod_sum, prod_sumsq, score_sum = np.zeros(3), np.zeros(3), np.zeros(2)
+    for start in range(0, samples, MC_CHUNK):
+        z = rng.standard_normal((min(MC_CHUNK, samples - start), 4))
+        s = score_reference(cfg, z @ chol.T)
+        prods = np.column_stack([s[:, 0] * s[:, 0], s[:, 0] * s[:, 1], s[:, 1] * s[:, 1]])
+        prod_sum += prods.sum(axis=0)
+        prod_sumsq += (prods * prods).sum(axis=0)
+        score_sum += s.sum(axis=0)
+    n = float(samples)
+    mean = prod_sum / n
+    se = np.sqrt((prod_sumsq / n - mean * mean) / (n - 1.0))
+    s_mean = score_sum / n
+    s_se = np.sqrt((prod_sum[::2] / n - s_mean * s_mean) / (n - 1.0))
+    sym = [[0, 1], [1, 2]]
+    return mean[sym], se[sym], s_mean, s_se
+
+
+def source_qfi(eps: float, g1: float, g2: float) -> np.ndarray:
+    """Quantum Fisher information in (g1, g2) of the 4x4 thermal source covariance.
+
+    QFI_kl = vec(dV_k)^T (V (x) V - Omega (x) Omega)^-1 vec(dV_l) / 2 in the real
+    quadrature basis with vacuum covariance I (Monras, arXiv:1303.3682; Safranek,
+    J. Phys. A 52, 035304, 2019). dV/dg is exact: V is linear in g.
+    """
+    v = astronomical_covariance(SourceParams(eps, g1, g2)).entries
+    dv1 = eps * np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+    dv2 = eps * np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
+    omega = symplectic_form(2)
+    m = np.kron(v, v) - np.kron(omega, omega)
+    vecs = np.column_stack([dv1.ravel(), dv2.ravel()])
+    qfi = 0.5 * vecs.T @ np.linalg.solve(m, vecs)
+    return 0.5 * (qfi + qfi.T)
 
 
 class TestFisherMatrixType:
@@ -340,3 +408,76 @@ class TestMonteCarlo:
         fa = fisher_analytic(self.CFG).entries
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / (len(x) - 1))
         assert np.all(np.abs(cov - fa) <= 3.0 * se)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_matches_analytic_within_three_se_in_paper_regime(self, eps):
+        cfg = InterferometerConfig.from_values(eps, 0.3, 0.2, n_bar=1e3, theta=0.7)
+        mc = fisher_monte_carlo(cfg, 200_000, seed=11)
+        fa = fisher_analytic(cfg).entries
+        assert np.all(np.abs(mc.fisher.entries - fa) <= 3.0 * mc.standard_error)
+
+    def test_matches_unwhitened_reference_on_same_draws(self):
+        samples = 3 * MC_CHUNK + 17
+        mc = fisher_monte_carlo(self.CFG, samples, seed=5)
+        entries, se, s_mean, s_se = monte_carlo_reference(self.CFG, samples, seed=5)
+        np.testing.assert_allclose(mc.fisher.entries, entries, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mc.standard_error, se, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mc.score_mean, s_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mc.score_se, s_se, rtol=1e-12, atol=0)
+
+
+class TestScoreVectors:
+    CFG = InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1.0, theta=0.0)
+
+    def test_matches_unwhitened_reference_over_paper_span(self):
+        rng = np.random.default_rng(RNG_SEED + 4)
+        for _ in range(300):
+            cfg = paper_span_config(rng)
+            v = cfg.model.covariance(cfg.source.g1, cfg.source.g2)
+            x = rng.standard_normal((64, 4)) @ np.linalg.cholesky(v).T
+            expected = score_reference(cfg, x)
+            scale = np.max(np.abs(expected), axis=0)
+            assert np.all(np.abs(score_vectors(cfg, x) - expected) <= 1e-11 * scale)
+
+    def test_single_row_of_four_accepted(self):
+        row = np.array([0.3, -1.2, 0.8, 0.1])
+        assert np.array_equal(score_vectors(self.CFG, row), score_vectors(self.CFG, row[None, :]))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 2, 4), (3,), (5, 3), ()])
+    def test_wrong_shape_rejected(self, shape):
+        message = r"outcomes must be an \(M >= 1\) x 4 array, got " + re.escape(str(shape))
+        with pytest.raises(ValidationError, match=message):
+            score_vectors(self.CFG, np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        x = np.ones((3, 4))
+        x[1, 2] = bad
+        with pytest.raises(ValidationError, match="outcomes must be finite"):
+            score_vectors(self.CFG, x)
+
+
+class TestQuantumFisherOracle:
+    """No measurement on the source plus a g-independent resource beats the source QFI."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        log_eps=st.floats(-3.0, math.log10(2.5)),
+        mag_sq=st.floats(0.0, 0.8),
+        phase=st.floats(0.0, 2 * math.pi),
+        log_n_bar=st.floats(-3.0, 3.0),
+        theta=st.floats(0.0, 2 * math.pi),
+    )
+    def test_homodyne_fisher_below_qfi(self, log_eps, mag_sq, phase, log_n_bar, theta):
+        eps, mag = 10.0**log_eps, math.sqrt(mag_sq)
+        g1, g2 = mag * math.cos(phase), mag * math.sin(phase)
+        qfi = source_qfi(eps, g1, g2)
+        cfg = InterferometerConfig.from_values(eps, g1, g2, n_bar=10.0**log_n_bar, theta=theta)
+        gap = qfi - fisher_analytic(cfg).entries
+        assert np.linalg.eigvalsh(gap)[0] >= -1e-12 * np.trace(qfi)
+
+    def test_weak_thermal_light_trace(self):
+        eps, g1, g2 = 1e-3, 0.3, 0.2
+        expected = 1.0 + 1.0 / (1.0 - (g1 * g1 + g2 * g2))
+        assert math.isclose(expected, 2.1494, rel_tol=1e-4)
+        assert math.isclose(np.trace(source_qfi(eps, g1, g2)) / eps, expected, rel_tol=1e-3)
