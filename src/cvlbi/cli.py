@@ -1,12 +1,13 @@
 """Command-line surface: state | fisher | compare | estimate.
 
 Every subcommand is deterministic given its full flag set (seeds included) and
-writes either JSON (default) or CSV to stdout or --output. Exit codes: 0 on
+writes JSON, or CSV under --format csv, to stdout or --output. Exit codes: 0 on
 success, 2 on validation errors (the message names the offending field), 3 on
 numerical failures; ``main`` returns them, argparse's own errors included.
 ``estimate`` warns on stderr when no fit left its starting point.
 
-argparse is the only parser, and each default is declared once, on its flag.
+argparse is the only parser. Each flag, with its default, is declared once, and
+each subcommand takes only the flags it reads (``_COMMANDS``).
 A --config file holds flat ``key = value`` lines; blank lines and lines
 starting with # are skipped. A key is a flag name without the leading dashes,
 written with ``_`` or ``-`` (``n_bar`` and ``n-bar`` both mean --n-bar), and
@@ -95,22 +96,29 @@ def _apply_config(parser, argv: list[str], args: argparse.Namespace) -> argparse
 #: an on/off flag; the optional value lets a config line set it either way
 _SWITCH = {"nargs": "?", "const": True, "default": False, "type": _switch, "metavar": "BOOL"}
 
+#: the model's five inputs: the source (epsilon, g) and the squeezed resource (n_bar, theta)
+_MODEL = ("epsilon", "g1", "g2", "n-bar", "theta")
 
-def _add_subcommand(sub, name: str, help: str):
-    """Add a subcommand with the options all of them take; return its ``add_argument``."""
-    add = sub.add_parser(name, help=help, allow_abbrev=False).add_argument
-    add("--config", metavar="PATH", help="key=value file; flags override it")
-    add("--epsilon", type=float, default=0.1, help="photon flux per coherence time (> 0)")
-    add("--g1", type=float, default=0.0, help="Re of the mutual coherence")
-    add("--g2", type=float, default=0.0, help="Im of the mutual coherence")
-    add("--n-bar", type=float, default=1.0, help="TMSV mean photon number (>= 0)")
-    add("--theta", type=float, default=0.0, help="TMSV squeezing phase (rad)")
-    add("--delta-nu", type=float, default=1.0, help="spectral bandwidth (Hz)")
-    add("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
-    add("--output", "-o", metavar="PATH")
-    add("--format", choices=("json", "csv"), default="json",
-        help="output format (default %(default)s)")
-    return add
+#: each flag, declared once by its name and add_argument keywords
+_FLAGS = {
+    "epsilon": {"type": float, "default": 0.1, "help": "photon flux per coherence time (> 0)"},
+    "g1": {"type": float, "default": 0.0, "help": "Re of the mutual coherence"},
+    "g2": {"type": float, "default": 0.0, "help": "Im of the mutual coherence"},
+    "n-bar": {"type": float, "default": 1.0, "help": "TMSV mean photon number (>= 0)"},
+    "theta": {"type": float, "default": 0.0, "help": "TMSV squeezing phase (rad)"},
+    "delta-nu": {"type": float, "default": 1.0, "help": "spectral bandwidth (Hz)"},
+    "seed": {"type": int, "default": 0, "help": "RNG seed (>= 0, default %(default)s)"},
+    "format": {"choices": ("json", "csv"), "default": "json",
+               "help": "output format (default %(default)s)"},
+    "mc": {"help": "add a Monte Carlo estimate with standard errors", **_SWITCH},
+    "samples": {"type": int, "default": 1_000_000, "help": "Monte Carlo sample count (>= 1000)"},
+    "eps-min": {"type": float, "default": DEFAULT_GRID_MIN, "help": "grid minimum (> 0)"},
+    "eps-max": {"type": float, "default": DEFAULT_GRID_MAX, "help": "grid maximum (<= 1)"},
+    "eps-points": {"type": int, "default": DEFAULT_GRID_POINTS, "help": "grid size"},
+    "exact-cv": {"help": "use exact finite-eps trace norms for the CV schemes", **_SWITCH},
+    "shots": {"type": int, "default": 10_000, "help": "measurements per replication (>= 1)"},
+    "replications": {"type": int, "default": 100, "help": "independent replications (>= 30)"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,23 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_subcommand(sub, "state", "emit the input, output, and measured covariances")
-
-    add = _add_subcommand(sub, "fisher", "emit Fisher information of the mutual coherence")
-    add("--mc", help="add a Monte Carlo estimate with standard errors", **_SWITCH)
-    add("--samples", type=int, default=1_000_000, help="Monte Carlo sample count (>= 1000)")
-
-    add = _add_subcommand(sub, "compare", "emit cumulative Fisher bounds per scheme")
-    add("--eps-min", type=float, default=DEFAULT_GRID_MIN, help="grid minimum (> 0)")
-    add("--eps-max", type=float, default=DEFAULT_GRID_MAX, help="grid maximum (<= 1)")
-    add("--eps-points", type=int, default=DEFAULT_GRID_POINTS, help="grid size")
-    add("--exact-cv", help="use exact finite-eps trace norms for the CV schemes", **_SWITCH)
-
-    add = _add_subcommand(sub, "estimate", "replicated MLE against the Cramer-Rao bound")
-    add("--shots", type=int, default=10_000, help="measurements per replication (>= 1)")
-    add("--replications", type=int, default=100, help="independent replications (>= 30)")
-
+    for name, (_, help, flags) in _COMMANDS.items():
+        add = sub.add_parser(name, help=help, allow_abbrev=False).add_argument
+        add("--config", metavar="PATH", help="key=value file; flags override it")
+        add("--output", "-o", metavar="PATH")
+        for flag in flags:
+            add(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -267,8 +264,6 @@ def cmd_compare(args: argparse.Namespace) -> str:
 
 
 def cmd_estimate(args: argparse.Namespace) -> str:
-    if args.format == "csv":
-        raise ValidationError("format: estimate emits JSON only")
     icfg = _interferometer_config(args)
     result = crb_experiment(icfg, args.shots, args.replications, args.seed)
     if all(fit.iterations == 0 for fit in result.fits):
@@ -280,11 +275,15 @@ def cmd_estimate(args: argparse.Namespace) -> str:
     return json_dumps(result.to_json_dict())
 
 
+#: each subcommand's function, help and flags; every one also takes --config and --output/-o
 _COMMANDS = {
-    "state": cmd_state,
-    "fisher": cmd_fisher,
-    "compare": cmd_compare,
-    "estimate": cmd_estimate,
+    "state": (cmd_state, "emit the input, output, and measured covariances", (*_MODEL, "format")),
+    "fisher": (cmd_fisher, "emit Fisher information of the mutual coherence",
+               (*_MODEL, "format", "seed", "mc", "samples")),
+    "compare": (cmd_compare, "emit cumulative Fisher bounds per scheme",
+                ("g1", "g2", "delta-nu", "format", "eps-min", "eps-max", "eps-points", "exact-cv")),
+    "estimate": (cmd_estimate, "replicated MLE against the Cramer-Rao bound",
+                 (*_MODEL, "seed", "shots", "replications")),
 }
 
 
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = _apply_config(parser, argv, args)
-        text = _COMMANDS[args.command](args)
+        text = _COMMANDS[args.command][0](args)
     except SystemExit as exc:
         # argparse has written its usage and message (or the help) already
         return exc.code

@@ -577,6 +577,8 @@ def crb_experiment(
         raise ValidationError(f"replications must be <= {MAX_REPLICATIONS}")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be in [1, {MAX_SHOTS}]")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     chol = np.linalg.cholesky(_measured_covariance(cfg))
     moments = _second_moments(chol, shots, np.random.SeedSequence(seed).spawn(replications))
     fits = _mle_lockstep(cfg, moments, shots)

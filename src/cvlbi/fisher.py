@@ -149,6 +149,8 @@ def fisher_monte_carlo(
     """
     if not MIN_MC_SAMPLES <= samples <= MAX_MC_SAMPLES:
         raise ValidationError(f"samples must be in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     _, kernels = _score_kernels(cfg)
     rng = np.random.default_rng(seed)
 

@@ -102,8 +102,11 @@ def rate_factor(scheme: SchemeId, delta_nu: float) -> float:
     all schemes accumulate measurements at the same rate.
     """
     _check_scheme(scheme)
-    if not (math.isfinite(delta_nu) and delta_nu > 0.0):
+    if not delta_nu > 0.0:  # NaN included
         raise ValidationError("delta_nu must be > 0")
+    # every bound is at most 2 delta_nu: lowest order 2 eps^2 <= 2, exact CV norms below 1
+    if not math.isfinite(2.0 * delta_nu):
+        raise ValidationError(f"delta_nu = {delta_nu} is too large: the bounds overflow")
     return float(delta_nu)
 
 

@@ -13,6 +13,7 @@ redundancy is part of the test strategy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,9 @@ def _check_flux(eps: float) -> None:
     # terms in eps; 4 eps^2 bounds them all, and every covariance entry is far smaller
     if not math.isfinite(4.0 * eps * eps):
         raise ValidationError(f"epsilon = {eps} is too large: its eps^2 terms overflow")
+    # below this the eps^2 terms are subnormal and the Fisher information loses its digits
+    if eps * eps < sys.float_info.min:
+        raise ValidationError(f"epsilon = {eps} is too small: its eps^2 terms underflow")
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,26 @@ def _accepted(epsilon: float) -> bool:
     return True
 
 
+def _threshold(accepted: float, rejected: float) -> float:
+    """The accepted epsilon next to the rejected ones, by bisection over float bit patterns."""
+    good, bad = _bits(accepted), _bits(rejected)
+    assert _accepted(_float(good)) and not _accepted(_float(bad))
+    while abs(bad - good) > 1:
+        mid = (good + bad) // 2
+        if _accepted(_float(mid)):
+            good = mid
+        else:
+            bad = mid
+    return _float(good)
+
+
 @pytest.fixture(scope="session")
 def largest_epsilon() -> float:
-    """The largest epsilon SourceParams accepts, by bisection over positive float bit patterns."""
-    low, high = _bits(1.0), _bits(sys.float_info.max)
-    assert _accepted(_float(low)) and not _accepted(_float(high))
-    while high - low > 1:
-        mid = (low + high) // 2
-        if _accepted(_float(mid)):
-            low = mid
-        else:
-            high = mid
-    return _float(low)
+    """The largest epsilon SourceParams accepts."""
+    return _threshold(1.0, sys.float_info.max)
+
+
+@pytest.fixture(scope="session")
+def smallest_epsilon() -> float:
+    """The smallest positive epsilon SourceParams accepts."""
+    return _threshold(1.0, 5e-324)

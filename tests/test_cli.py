@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line surface."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,8 +13,12 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cvlbi.cli import build_parser, main
+from cvlbi.cli import MAX_EPS_POINTS, build_parser, main
+from cvlbi.estimate import MAX_REPLICATIONS, MAX_SHOTS, MIN_REPLICATIONS
+from cvlbi.fisher import MAX_MC_SAMPLES, MIN_MC_SAMPLES
 from cvlbi.serialize import json_dumps
 
 FISHER_DIAG_VACUUM = 2.0 * 0.1**2 / (4.0 + 4.0 * 0.1 + 0.1**2)
@@ -105,6 +112,10 @@ class TestFisherCommand:
         assert code == 2
         assert "samples" in err
 
+    def test_negative_seed_exits_2_naming_seed(self, capsys):
+        code, out, err = run_cli(capsys, "fisher", "--mc", "--seed", "-1", "--samples", "1000")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0\n")
+
 
 class TestCompareCommand:
     def test_default_grid_csv_shape(self, capsys):
@@ -150,6 +161,12 @@ class TestCompareCommand:
         assert code == 2
         assert "eps" in err
 
+    @pytest.mark.parametrize("delta_nu", ["1e308", "inf"])
+    def test_bandwidth_whose_bounds_overflow_exits_2(self, capsys, delta_nu):
+        code, out, err = run_cli(capsys, "compare", "--delta-nu", delta_nu)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: delta_nu = {float(delta_nu)} is too large")
+
 
 class TestEstimateCommand:
     def test_json_fields_present(self, capsys):
@@ -189,7 +206,13 @@ class TestEstimateCommand:
     def test_csv_format_rejected(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--format", "csv", "--replications", "30")
         assert code == 2
-        assert "format" in err
+        assert "unrecognized arguments: --format csv" in err
+
+    def test_negative_seed_exits_2_naming_seed(self, capsys):
+        code, out, err = run_cli(
+            capsys, "estimate", "--seed", "-1", "--shots", "100", "--replications", "30"
+        )
+        assert (code, out, err) == (2, "", "error: seed must be >= 0\n")
 
     def test_deterministic_output(self, tmp_path):
         args = ["estimate", "--shots", "200", "--replications", "30", "--seed", "11"]
@@ -356,24 +379,27 @@ class TestProcessInterface:
         assert proc.returncode == 2
 
 
-def option_strings(command: str) -> set[str]:
-    """Every option string the subcommand's parser takes, read from build_parser()."""
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, read from build_parser()."""
     parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {s for action in sub.choices[command]._actions for s in action.option_strings}
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-COMMON_OPTIONS = {
-    "-h", "--help", "--config", "--epsilon", "--g1", "--g2", "--n-bar", "--theta",
-    "--delta-nu", "--seed", "--output", "-o", "--format",
-}
+def option_strings(command: str) -> set[str]:
+    """Every option string the subcommand's parser takes."""
+    return {s for action in subcommand_parsers()[command]._actions for s in action.option_strings}
+
+
+COMMON_OPTIONS = {"-h", "--help", "--config", "--output", "-o"}
+MODEL_OPTIONS = {"--epsilon", "--g1", "--g2", "--n-bar", "--theta"}
 
 #: the option strings of each subcommand; a new or dropped option shows up as a diff here
 OPTIONS = {
-    "state": COMMON_OPTIONS,
-    "fisher": COMMON_OPTIONS | {"--mc", "--samples"},
-    "compare": COMMON_OPTIONS | {"--eps-min", "--eps-max", "--eps-points", "--exact-cv"},
-    "estimate": COMMON_OPTIONS | {"--shots", "--replications"},
+    "state": COMMON_OPTIONS | MODEL_OPTIONS | {"--format"},
+    "fisher": COMMON_OPTIONS | MODEL_OPTIONS | {"--format", "--seed", "--mc", "--samples"},
+    "compare": COMMON_OPTIONS | {"--g1", "--g2", "--delta-nu", "--format",
+                                 "--eps-min", "--eps-max", "--eps-points", "--exact-cv"},
+    "estimate": COMMON_OPTIONS | MODEL_OPTIONS | {"--seed", "--shots", "--replications"},
 }
 
 #: a non-default value for every value flag
@@ -419,19 +445,58 @@ class TestOptionStrings:
         flags = set().union(*OPTIONS.values()) - not_values
         assert flags == set(FLAG_VALUES)
 
+    def test_parser_declares_39_options(self):
+        # one option per add_argument call; --help is argparse's own
+        parsers = subcommand_parsers().values()
+        assert sum(len(parser._actions) - 1 for parser in parsers) == 39
+
+
+#: every flag of every subcommand but those that pick where input and output go
+READ_CASES = [
+    (command, flag)
+    for command in OPTIONS
+    for flag in sorted(option_strings(command) - {"-h", "--help", "--config", "--output", "-o"})
+]
+
+
+def read_case_base(command: str, flag: str) -> list[str]:
+    """A small run that the flag can change; compare reads --g1 and --g2 only under --exact-cv."""
+    if flag == SWITCHES.get(command):
+        return small_argv(command, without=flag)
+    if command == "compare" and flag in ("--g1", "--g2"):
+        return small_argv(command) + ["--exact-cv"]
+    return small_argv(command)
+
+
+class TestEveryFlagChangesTheRun:
+    """A subcommand takes no flag it ignores: a non-default, valid value changes stdout."""
+
+    @pytest.mark.parametrize("command, flag", READ_CASES)
+    def test_non_default_value_changes_stdout(self, capsys, command, flag):
+        base = read_case_base(command, flag)
+        changed = [flag] if flag == SWITCHES.get(command) else [flag, FLAG_VALUES[flag]]
+        code, default_out, err = run_cli(capsys, *base)
+        assert code == 0, err
+        code, out, err = run_cli(capsys, *base, *changed)
+        assert code == 0, err
+        assert out != default_out
+
 
 class TestConfigLinesAreFlags:
-    @pytest.mark.parametrize(
-        "command, flag",
-        [(c, f) for c in OPTIONS for f in sorted(FLAG_VALUES) if f in OPTIONS[c]],
-    )
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in OPTIONS for f in sorted(FLAG_VALUES)])
     def test_config_line_matches_flag(self, tmp_path, capsys, command, flag):
-        value = FLAG_VALUES[flag]
+        """A line does what its flag does: the same run, or exit 2 if the subcommand lacks it."""
+        value, key = FLAG_VALUES[flag], flag[2:].replace("-", "_")
         base = small_argv(command, without=flag)
-        config = write_config(tmp_path, f"{flag[2:].replace('-', '_')} = {value}\n")
+        config = write_config(tmp_path, f"{key} = {value}\n")
         from_flag = run_cli(capsys, *base, flag, value)
         from_config = run_cli(capsys, *base, "--config", config)
-        assert from_config == from_flag
+        if flag in OPTIONS[command]:
+            assert from_config == from_flag
+        else:
+            assert from_flag[:2] == (2, "")
+            assert f"unrecognized arguments: {flag} {value}" in from_flag[2]
+            assert from_config == (2, "", f"error: unknown config key: {key}\n")
 
     def test_output_key_writes_the_same_bytes(self, tmp_path, capsys):
         by_flag, by_key = tmp_path / "flag.json", tmp_path / "key.json"
@@ -466,7 +531,7 @@ class TestConfigLinesAreFlags:
                                               ("fisher", "eps_points"), ("compare", "samples"),
                                               ("estimate", "exact-cv"), ("state", "output_path")])
     def test_key_the_subcommand_does_not_take_exits_2(self, tmp_path, capsys, command, key):
-        config = write_config(tmp_path, f"epsilon = 0.2\n{key} = 1\n")
+        config = write_config(tmp_path, f"g1 = 0.2\n{key} = 1\n")
         code, out, err = run_cli(capsys, command, "--config", config)
         assert (code, out, err) == (2, "", f"error: unknown config key: {key}\n")
 
@@ -563,3 +628,133 @@ class TestConditioningFailure:
         code, out, err = run_cli(capsys, "fisher", "--n-bar", "1e150")
         assert (code, out) == (3, "")
         assert err.startswith("numerical failure: measured covariance is numerically singular")
+
+
+class TestUnderflowingFlux:
+    def test_subprocess_exits_2_naming_epsilon(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cvlbi",
+             "fisher", "--epsilon", "1e-170"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: epsilon = 1e-170 is too small")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state"],
+            ["fisher", "--g1", "0.5"],
+            ["estimate", "--shots", "200", "--replications", "30"],
+        ],
+    )
+    def test_both_sides_of_the_threshold(self, capsys, smallest_epsilon, argv):
+        too_small = math.nextafter(smallest_epsilon, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, *argv, "--epsilon", repr(smallest_epsilon))
+            assert code == 0, err
+            code, out, err = run_cli(capsys, *argv, "--epsilon", repr(too_small))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: epsilon = {too_small} is too small")
+
+
+#: values for the fuzzed runs: signed zeros, a subnormal, both sides of each epsilon
+#: limit, the largest floats, non-finite values, a negative and a non-number
+FUZZ_TOKENS = ["0", "-0.0", "5e-324", "1e-170", "1e-9", "1", "6.7e153", "1e308",
+               "inf", "-inf", "nan", "-1", "x"]
+
+#: small valid sizes and the sizes just past each limit; never a valid but large one
+FUZZ_SIZES = {
+    "--shots": ["100", "1000", "0", str(MAX_SHOTS + 1)],
+    "--replications": [str(MIN_REPLICATIONS), str(MIN_REPLICATIONS + 1),
+                       str(MIN_REPLICATIONS - 1), str(MAX_REPLICATIONS + 1)],
+    "--samples": [str(MIN_MC_SAMPLES), str(2 * MIN_MC_SAMPLES),
+                  str(MIN_MC_SAMPLES - 1), str(MAX_MC_SAMPLES + 1)],
+    "--eps-points": ["2", "5", "1", str(MAX_EPS_POINTS + 1)],
+}
+
+#: every flag and field name a message may cite, dashed and underscored
+FIELD_NAMES = {
+    name
+    for parser in subcommand_parsers().values()
+    for action in parser._actions
+    for name in (action.dest, *(s.lstrip("-") for s in action.option_strings))
+} - {"h", "help", "o"}
+
+
+def fuzz_values(command: str, flag: str) -> list:
+    """The values a fuzzed run may give the flag; None stands for a bare switch."""
+    action = next(a for a in subcommand_parsers()[command]._actions if flag in a.option_strings)
+    if flag in FUZZ_SIZES:
+        return FUZZ_SIZES[flag] + FUZZ_TOKENS
+    if flag == SWITCHES.get(command):
+        return [None, "true", "false", *FUZZ_TOKENS]
+    return [*(action.choices or ()), *FUZZ_TOKENS]
+
+
+def assert_clean_exit(argv: list[str]) -> None:
+    """The run returns 0, 2 or 3 with no warning or exception, and a 2 names what it rejects.
+
+    That is a flag or field, or, for a value like -inf that argparse takes for an option
+    after a switch, the argument itself.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    message = err.getvalue()
+    assert code in (0, 2, 3), (argv, message)
+    if code == 2:
+        cited = [n for n in FIELD_NAMES if re.search(rf"\b{re.escape(n)}\b", message)]
+        unrecognized = re.search(r"unrecognized arguments: (.*)", message)
+        named = unrecognized and set(unrecognized.group(1).split()) <= set(argv)
+        assert cited or named, (argv, message)
+
+
+@st.composite
+def fuzzed_runs(draw, workdir: Path):
+    """argv for one run: every size flag, a third of the others, some as config lines."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv, lines = [command], []
+    for flag in (f for c, f in READ_CASES if c == command):
+        if flag not in FUZZ_SIZES and draw(st.integers(0, 2)) > 0:
+            continue
+        value = draw(st.sampled_from(fuzz_values(command, flag)))
+        if value is not None and draw(st.booleans()):
+            lines.append(f"{flag[2:]} = {value}")
+        else:
+            argv += [flag] if value is None else [flag, value]
+    if lines:
+        config = workdir / "run.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        argv += ["--config", str(config)]
+    output = draw(st.sampled_from([None, workdir / "out.txt", workdir]))
+    if output is not None:
+        argv += [draw(st.sampled_from(["--output", "-o"])), str(output)]
+    return argv
+
+
+class TestFuzzedCommandLine:
+    """Every input exits 0, 2 or 3, and a 2 names the flag or field it rejects."""
+
+    @pytest.mark.parametrize("command, flag", READ_CASES)
+    def test_every_value_on_its_own(self, command, flag):
+        # one bad value among good ones: a random draw meets a given pair about once in 10^3
+        for value in fuzz_values(command, flag):
+            assert_clean_exit(
+                read_case_base(command, flag) + ([flag] if value is None else [flag, value])
+            )
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    def test_drawn_flag_sets(self, workdir):
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(fuzzed_runs(workdir))
+        def run(argv):
+            assert_clean_exit(argv)
+
+        run()

@@ -404,6 +404,10 @@ class TestCrbExperiment:
         with pytest.raises(ValidationError, match="replications"):
             crb_experiment(CFG, shots=100, replications=10, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="^seed must be >= 0$"):
+            crb_experiment(CFG, shots=100, replications=30, seed=-1)
+
     def test_deterministic_per_master_seed(self):
         a = crb_experiment(CFG, shots=500, replications=30, seed=7)
         b = crb_experiment(CFG, shots=500, replications=30, seed=7)

@@ -393,6 +393,10 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match="samples"):
             fisher_monte_carlo(self.CFG, 999, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="^seed must be >= 0$"):
+            fisher_monte_carlo(self.CFG, 1000, seed=-1)
+
     def test_absurd_sample_count_rejected_before_sampling(self):
         message = rf"samples must be in \[1000, {MAX_MC_SAMPLES}\]"
         with pytest.raises(ValidationError, match=message):

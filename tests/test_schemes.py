@@ -1,6 +1,7 @@
 """Tests for the cross-scheme cumulative comparison and its emission formats."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +36,21 @@ class TestRateFactor:
             rate_factor(SchemeId.DD, 0.0)
         with pytest.raises(ValidationError, match="delta_nu"):
             rate_factor(SchemeId.DD, -1.0)
+
+    @pytest.mark.parametrize("delta_nu", [1e308, math.inf])
+    def test_bandwidth_whose_bounds_overflow_rejected(self, delta_nu):
+        with pytest.raises(ValidationError, match=r"^delta_nu = .* is too large"):
+            rate_factor(SchemeId.DD, delta_nu)
+
+    def test_largest_bandwidth_keeps_every_bound_finite(self):
+        # the largest delta_nu with 2 delta_nu finite; the exact CV norms stay below 2
+        delta_nu = sys.float_info.max / 2.0
+        assert rate_factor(SchemeId.DD, delta_nu) == delta_nu
+        with pytest.raises(ValidationError, match="delta_nu"):
+            rate_factor(SchemeId.DD, math.nextafter(delta_nu, math.inf))
+        for exact_cv in (False, True):
+            curves = cumulative_curves([1e-3, 0.5, 1.0], delta_nu, exact_cv, g1=0.9, g2=0.1)
+            assert all(np.isfinite(curve.bounds).all() for curve in curves)
 
 
 class TestUnknownScheme:

@@ -1,6 +1,7 @@
 """Tests for the thermal-source and squeezed-resource constructors."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +79,26 @@ class TestSourceParams:
         assert 6e153 < largest_epsilon < 1.35e154
         with pytest.raises(ValidationError, match="epsilon = .* is too large"):
             SourceParams(math.nextafter(largest_epsilon, math.inf))
+
+    @pytest.mark.parametrize("epsilon", [1e-160, 1e-170, 5e-324])
+    def test_underflowing_epsilon_rejected_naming_epsilon(self, epsilon):
+        with pytest.raises(ValidationError, match=r"^epsilon = .* is too small"):
+            SourceParams(epsilon)
+
+    def test_underflow_threshold_sits_where_eps_squared_turns_subnormal(self, smallest_epsilon):
+        assert smallest_epsilon**2 >= sys.float_info.min
+        assert 1.49e-154 < smallest_epsilon < 1.5e-154
+        too_small = math.nextafter(smallest_epsilon, 0.0)
+        with pytest.raises(ValidationError, match="epsilon = .* is too small"):
+            SourceParams(too_small)
+        for which in (LIMIT_ZERO, LIMIT_INFINITY):
+            with pytest.raises(ValidationError, match="epsilon = .* is too small"):
+                fisher_limit_closed_form(too_small, 0.5, 0.0, which)
+
+    @pytest.mark.parametrize("g", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.0)])
+    def test_smallest_accepted_epsilon_gives_nonzero_fisher_limits(self, smallest_epsilon, g):
+        for which in (LIMIT_ZERO, LIMIT_INFINITY):
+            assert fisher_limit_closed_form(smallest_epsilon, *g, which).trace_norm > 0.0
 
     @pytest.mark.parametrize("g", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.0)])
     def test_largest_accepted_epsilon_stays_finite(self, largest_epsilon, g):
