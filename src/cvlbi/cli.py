@@ -30,6 +30,7 @@ from .estimate import crb_experiment
 from .fisher import (
     LIMIT_INFINITY,
     LIMIT_ZERO,
+    _check_sampling,
     fisher_analytic,
     fisher_limit_closed_form,
     fisher_monte_carlo,
@@ -179,6 +180,8 @@ def cmd_state(args: argparse.Namespace) -> str:
 
 
 def cmd_fisher(args: argparse.Namespace) -> str:
+    # checked on every run, not only under --mc, so that no bad value is accepted unread
+    _check_sampling(args.samples, args.seed)
     icfg = _interferometer_config(args)
     analytic = fisher_analytic(icfg)
     limit_zero = fisher_limit_closed_form(args.epsilon, args.g1, args.g2, LIMIT_ZERO)

@@ -31,6 +31,7 @@ import numpy as np
 from .core import ValidationError
 from .fisher import LIMIT_INFINITY, LIMIT_ZERO, fisher_limit_closed_form
 from .serialize import format_float
+from .states import _check_disk
 
 MODE_LOWEST_ORDER = "lowest-order"
 MODE_EXACT = "exact"
@@ -111,7 +112,12 @@ def rate_factor(scheme: SchemeId, delta_nu: float) -> float:
 
 
 def single_shot_bound(scheme: SchemeId, eps: float) -> float:
-    """Lowest-order single-shot trace-norm bound for one scheme."""
+    """Lowest-order single-shot trace-norm bound for one scheme.
+
+    The values are leading terms in eps. Above eps = sqrt(3) - 1 the CV_INF value
+    2 eps^2 exceeds the trace of the source's quantum Fisher information, 4 eps / (2 + eps)
+    at g = 0, which no measurement can reach.
+    """
     _check_scheme(scheme)
     if not (math.isfinite(eps) and 0.0 < eps <= 1.0):
         raise ValidationError("eps must be in (0, 1]")
@@ -163,9 +169,11 @@ def cumulative_curves(
 
     With ``exact_cv`` the CV schemes use the exact finite-eps trace norms at the
     given coherence (tagged "exact" in the output); all other entries are the
-    lowest-order bounds. Scheme order is fixed; point order follows the grid.
+    lowest-order bounds. Scheme order is fixed; point order follows the grid. The
+    coherence is checked on every call, whether or not ``exact_cv`` reads it.
     """
     grid = _validate_grid(eps_grid)
+    _check_disk(g1, g2)
     curves = []
     for scheme in SchemeId:
         exact = exact_cv and scheme in (SchemeId.CV_INF, SchemeId.CV_0)

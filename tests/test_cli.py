@@ -482,6 +482,24 @@ class TestEveryFlagChangesTheRun:
         assert out != default_out
 
 
+#: flags a subcommand reads only under its switch, each with a value the run rejects
+READ_UNDER_SWITCH = [
+    ("compare", "--g1", "nan"), ("compare", "--g2", "1.5"),
+    ("fisher", "--samples", "5"), ("fisher", "--seed", "-3"),
+]
+
+
+class TestFlagsCheckedWithoutTheirSwitch:
+    """A flag read only under a switch is checked on every run, with the switch's message."""
+
+    @pytest.mark.parametrize("command, flag, value", READ_UNDER_SWITCH)
+    def test_bad_value_exits_2_as_under_the_switch(self, capsys, command, flag, value):
+        base = small_argv(command, without=SWITCHES[command])
+        under_switch = run_cli(capsys, *base, SWITCHES[command], flag, value)
+        assert under_switch[:2] == (2, "")
+        assert run_cli(capsys, *base, flag, value) == under_switch
+
+
 class TestConfigLinesAreFlags:
     @pytest.mark.parametrize("command, flag", [(c, f) for c in OPTIONS for f in sorted(FLAG_VALUES)])
     def test_config_line_matches_flag(self, tmp_path, capsys, command, flag):

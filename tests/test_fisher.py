@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cvlbi.interferometer import (
     reduced_covariance,
     reduced_covariance_closed,
 )
+from cvlbi.schemes import SchemeId, exact_single_shot_trace_norm, single_shot_bound
 from cvlbi.states import SourceParams, TmsvParams, astronomical_covariance
 
 RNG_SEED = 91117
@@ -420,6 +422,16 @@ class TestMonteCarlo:
         fa = fisher_analytic(cfg).entries
         assert np.all(np.abs(mc.fisher.entries - fa) <= 3.0 * mc.standard_error)
 
+    def test_memory_stays_at_one_chunk(self):
+        # the chunk buffers hold 1.8 MB; a million samples must not cost more than two chunks
+        tracemalloc.start()
+        try:
+            fisher_monte_carlo(self.CFG, 10**6, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_matches_unwhitened_reference_on_same_draws(self):
         samples = 3 * MC_CHUNK + 17
         mc = fisher_monte_carlo(self.CFG, samples, seed=5)
@@ -485,3 +497,60 @@ class TestQuantumFisherOracle:
         expected = 1.0 + 1.0 / (1.0 - (g1 * g1 + g2 * g2))
         assert math.isclose(expected, 2.1494, rel_tol=1e-4)
         assert math.isclose(np.trace(source_qfi(eps, g1, g2)) / eps, expected, rel_tol=1e-3)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        log_eps=st.floats(-6.0, math.log10(2.5)),
+        mag_sq=st.floats(0.0, 0.8),
+        phase=st.floats(0.0, 2 * math.pi),
+        log_n_bar=st.floats(-3.0, 3.0),
+        theta=st.floats(0.0, 2 * math.pi),
+    )
+    def test_homodyne_trace_is_order_eps_below_qfi(self, log_eps, mag_sq, phase, log_n_bar, theta):
+        # to lowest order tr F <= 2 eps^2 (infinite squeezing) and tr QFI >= 2 eps (g = 0)
+        eps, mag = 10.0**log_eps, math.sqrt(mag_sq)
+        g1, g2 = mag * math.cos(phase), mag * math.sin(phase)
+        cfg = InterferometerConfig.from_values(eps, g1, g2, n_bar=10.0**log_n_bar, theta=theta)
+        ratio = np.trace(fisher_analytic(cfg).entries) / np.trace(source_qfi(eps, g1, g2))
+        assert ratio <= eps
+
+
+#: above this eps the lowest-order CV_INF value 2 eps^2 exceeds tr QFI = 4 eps / (2 + eps) at g = 0
+CV_INF_QFI_CROSSING = math.sqrt(3.0) - 1.0
+
+
+class TestSchemeBoundsAgainstQfi:
+    """The scheme comparison's single-shot traces stay below the source's quantum limit."""
+
+    def test_trace_normalisations_match(self):
+        # the CV bounds are small-eps traces of the homodyne Fisher matrix over (g1, g2),
+        # the coordinates of source_qfi, whose trace at g = 0 is 4 eps / (2 + eps) = 2 eps + ...
+        eps = 1e-6
+        for scheme, n_bar in ((SchemeId.CV_INF, 1e8), (SchemeId.CV_0, 0.0)):
+            cfg = InterferometerConfig.from_values(eps, 0.0, 0.0, n_bar=n_bar)
+            trace = np.trace(fisher_analytic(cfg).entries)
+            assert math.isclose(single_shot_bound(scheme, eps), trace, rel_tol=1e-5)
+        for eps in (1e-6, 0.1, 1.0):
+            qfi_trace = np.trace(source_qfi(eps, 0.0, 0.0))
+            assert math.isclose(qfi_trace, 4.0 * eps / (2.0 + eps), rel_tol=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        log_eps=st.floats(-6.0, 0.0),
+        mag_sq=st.floats(0.0, 0.8),
+        phase=st.floats(0.0, 2 * math.pi),
+    )
+    def test_single_shot_traces_below_qfi(self, log_eps, mag_sq, phase):
+        eps, mag = 10.0**log_eps, math.sqrt(mag_sq)
+        g1, g2 = mag * math.cos(phase), mag * math.sin(phase)
+        qfi_trace = np.trace(source_qfi(eps, g1, g2))
+        for scheme in SchemeId:
+            assert exact_single_shot_trace_norm(scheme, eps, g1, g2) <= qfi_trace
+            if scheme is not SchemeId.CV_INF or eps <= CV_INF_QFI_CROSSING:
+                assert single_shot_bound(scheme, eps) <= qfi_trace
+
+    def test_lowest_order_cv_inf_exceeds_qfi_above_the_crossing(self):
+        # the default compare grid runs to eps = 1, where 2 eps^2 = 2 against tr QFI = 4/3
+        for eps, over in ((0.7, False), (0.75, True), (1.0, True)):
+            qfi_trace = np.trace(source_qfi(eps, 0.0, 0.0))
+            assert bool(single_shot_bound(SchemeId.CV_INF, eps) > qfi_trace) is over

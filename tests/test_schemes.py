@@ -116,6 +116,12 @@ class TestCumulativeCurves:
         curves = cumulative_curves(grid)
         assert len(curves) == 5 and all(len(c.points) == 200 for c in curves)
 
+    @pytest.mark.parametrize("exact_cv", [False, True])
+    @pytest.mark.parametrize("g", [(math.nan, 0.0), (0.0, math.inf), (0.9, 0.9)])
+    def test_coherence_checked_in_either_mode(self, exact_cv, g):
+        with pytest.raises(ValidationError, match=r"need finite g with \|g\| <= 1"):
+            cumulative_curves([0.01, 0.1], exact_cv=exact_cv, g1=g[0], g2=g[1])
+
     def test_exact_mode_tags_cv_only(self):
         curves = cumulative_curves([0.01], exact_cv=True)
         modes = {c.scheme: c.mode for c in curves}
