@@ -26,17 +26,23 @@ import sys
 import numpy as np
 
 from .core import NumericalError, ValidationError
-from .estimate import crb_experiment
+from .estimate import MIN_REPLICATIONS, crb_experiment
 from .fisher import (
     LIMIT_INFINITY,
     LIMIT_ZERO,
+    MIN_MC_SAMPLES,
     _check_sampling,
     fisher_analytic,
     fisher_limit_closed_form,
     fisher_monte_carlo,
 )
-from .interferometer import InterferometerConfig, full_output_covariance, reduced_covariance
-from .serialize import format_float, json_dumps
+from .interferometer import (
+    InterferometerConfig,
+    abbreviations,
+    full_output_covariance,
+    reduced_covariance,
+)
+from .serialize import CSV_FLOAT_DIGITS, format_float, json_dumps
 from .schemes import (
     DEFAULT_GRID_MAX,
     DEFAULT_GRID_MIN,
@@ -112,13 +118,15 @@ _FLAGS = {
     "format": {"choices": ("json", "csv"), "default": "json",
                "help": "output format (default %(default)s)"},
     "mc": {"help": "add a Monte Carlo estimate with standard errors", **_SWITCH},
-    "samples": {"type": int, "default": 1_000_000, "help": "Monte Carlo sample count (>= 1000)"},
+    "samples": {"type": int, "default": 1_000_000,
+                "help": f"Monte Carlo sample count (>= {MIN_MC_SAMPLES})"},
     "eps-min": {"type": float, "default": DEFAULT_GRID_MIN, "help": "grid minimum (> 0)"},
     "eps-max": {"type": float, "default": DEFAULT_GRID_MAX, "help": "grid maximum (<= 1)"},
     "eps-points": {"type": int, "default": DEFAULT_GRID_POINTS, "help": "grid size"},
     "exact-cv": {"help": "use exact finite-eps trace norms for the CV schemes", **_SWITCH},
     "shots": {"type": int, "default": 10_000, "help": "measurements per replication (>= 1)"},
-    "replications": {"type": int, "default": 100, "help": "independent replications (>= 30)"},
+    "replications": {"type": int, "default": 100,
+                     "help": f"independent replications (>= {MIN_REPLICATIONS})"},
 }
 
 
@@ -151,7 +159,7 @@ def _matrix_csv(matrices: dict) -> str:
         labels = cov.ordering.names
         for i, row_label in enumerate(labels):
             for j, col_label in enumerate(labels):
-                value = format_float(cov.entries[i, j], 10)
+                value = format_float(cov.entries[i, j], CSV_FLOAT_DIGITS)
                 lines.append(f"{name},{row_label},{col_label},{value}")
     return "\n".join(lines) + "\n"
 
@@ -171,10 +179,7 @@ def cmd_state(args: argparse.Namespace) -> str:
         name: {"ordering": list(cov.ordering.names), "entries": cov.entries.tolist()}
         for name, cov in matrices.items()
     }
-    payload["abbreviations"] = {
-        "a": reduced.a, "b": reduced.b, "c": reduced.c,
-        "d": reduced.d, "e": reduced.e, "f": reduced.f,
-    }
+    payload["abbreviations"] = dict(zip("abcdef", abbreviations(icfg)))
     payload["pipeline_gap"] = reduced.pipeline_gap
     return json_dumps(payload)
 
@@ -230,7 +235,7 @@ def cmd_fisher(args: argparse.Namespace) -> str:
         for name, entries in blocks:
             for i in range(2):
                 for j in range(2):
-                    lines.append(f"{name},{i},{j},{format_float(entries[i][j], 10)}")
+                    lines.append(f"{name},{i},{j},{format_float(entries[i][j], CSV_FLOAT_DIGITS)}")
         return "\n".join(lines) + "\n"
     return json_dumps(payload)
 

@@ -162,15 +162,17 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
 
     Rows are Cholesky factor times standard normals, generated in fixed-size
     chunks from a single seeded generator; the record is deterministic per seed.
-    ``seed`` may be an int or a ``numpy.random.SeedSequence`` (used internally
-    for replication splits).
+    ``seed`` is an int >= 0 or a ``numpy.random.SeedSequence``, such as a child
+    that ``crb_experiment`` spawns; the record's ``seed`` then reads -1.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be in [1, {MAX_SHOTS}]")
+    int_seed = isinstance(seed, (int, np.integer))
+    if int_seed and seed < 0:
+        raise ValidationError("seed must be >= 0")
     chol = np.linalg.cholesky(_measured_covariance(cfg))
     (out,) = _outcome_buffers(chol, shots, [seed])
-    seed_value = seed if isinstance(seed, (int, np.integer)) else -1
-    return MeasurementRecord(outcomes=out, seed=int(seed_value), config=cfg)
+    return MeasurementRecord(outcomes=out, seed=int(seed) if int_seed else -1, config=cfg)
 
 
 def _outcome_buffers(chol: np.ndarray, shots: int, seeds):
@@ -379,12 +381,6 @@ def _boundary_polish(x: np.ndarray, f: float, grad: np.ndarray):
     if f_new <= f:
         return point, f_new, grad_new
     return x, f, grad
-
-
-def moment_initializer(record: MeasurementRecord) -> tuple[float, float]:
-    """Method-of-moments starting point from the empirical second moment."""
-    g1, g2 = _moment_starts(record.second_moment[None], record.config.source.epsilon)[0]
-    return (float(g1), float(g2))
 
 
 def _moment_starts(s: np.ndarray, eps: float) -> np.ndarray:

@@ -8,8 +8,8 @@ returned here.
 
 The product state is assembled in (A1, B1, A2, B2) order while the beam splitters
 act on (A1, A2) and (B1, B2) pairs, so an explicit mode permutation sits between
-the two steps. That permutation is a named constant with its own unit test; doing
-it silently with index arithmetic is the likeliest way to get this wrong.
+the two steps. It goes by mode labels (``permute_modes`` to OUTPUT_ORDERING):
+index arithmetic here is the likeliest way to get this wrong.
 
 Both a step-by-step pipeline and the direct closed form of the reduced covariance
 are provided. They agree to 1e-12. The closed form is linear in the coherence,
@@ -41,14 +41,8 @@ from .states import (
     tmsv_covariance_closed,
 )
 
-#: ordering produced by the product-state direct sum
-PRODUCT_ORDERING = QuadratureOrdering.interleaved("A1", "B1", "A2", "B2")
-
 #: ordering on which the beam splitters act (telescope-site pairs)
 OUTPUT_ORDERING = QuadratureOrdering.interleaved("A1", "A2", "B1", "B2")
-
-#: slot map for the (A1, B1, A2, B2) -> (A1, A2, B1, B2) reordering
-PRODUCT_TO_OUTPUT_PERMUTATION = (0, 1, 4, 5, 2, 3, 6, 7)
 
 #: the measured quadratures: one x and one p per telescope site, from different inputs
 MEASURED_LABELS = (("A1", "x"), ("A2", "p"), ("B1", "x"), ("B2", "p"))
@@ -196,20 +190,15 @@ def reduced_covariance_closed(cfg: InterferometerConfig) -> CovarianceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ReducedState:
-    """Measured covariance with its defining scalars and the pipeline cross-check.
+    """Measured covariance by two construction routes.
 
     ``v_r`` is the closed form (canonical for downstream use); ``v_r_pipeline`` is
-    the product-permute-interfere-reduce result kept for verification.
+    the product-permute-interfere-reduce result kept for verification. The scalars
+    the closed form is written in come from ``abbreviations``.
     """
 
     v_r: CovarianceMatrix
     v_r_pipeline: CovarianceMatrix
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
 
     @cached_property
     def pipeline_gap(self) -> float:
@@ -220,6 +209,4 @@ class ReducedState:
 def reduced_covariance(cfg: InterferometerConfig) -> ReducedState:
     """Run the pipeline, reduce to the measured quadratures, and pair with the closed form."""
     pipeline = reduce(full_output_covariance(cfg), MEASURED_LABELS)
-    closed = reduced_covariance_closed(cfg)
-    a, b, c, d, e, f = abbreviations(cfg)
-    return ReducedState(closed, pipeline, a, b, c, d, e, f)
+    return ReducedState(reduced_covariance_closed(cfg), pipeline)

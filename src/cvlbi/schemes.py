@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import ValidationError
 from .fisher import LIMIT_INFINITY, LIMIT_ZERO, fisher_limit_closed_form
-from .serialize import format_float
+from .serialize import CSV_FLOAT_DIGITS, format_float
 from .states import _check_disk
 
 MODE_LOWEST_ORDER = "lowest-order"
@@ -73,7 +73,6 @@ class SchemeCurve:
 
     scheme: SchemeId
     points: tuple
-    bandwidth: float
     mode: str = MODE_LOWEST_ORDER
 
     def __post_init__(self):
@@ -186,14 +185,8 @@ def cumulative_curves(
                 else single_shot_bound(scheme, eps)
             )
             points.append((float(eps), rate * shot))
-        curves.append(
-            SchemeCurve(
-                scheme=scheme,
-                points=tuple(points),
-                bandwidth=float(delta_nu),
-                mode=MODE_EXACT if exact else MODE_LOWEST_ORDER,
-            )
-        )
+        mode = MODE_EXACT if exact else MODE_LOWEST_ORDER
+        curves.append(SchemeCurve(scheme=scheme, points=tuple(points), mode=mode))
     return curves
 
 
@@ -273,22 +266,29 @@ def curves_to_csv(curves: list[SchemeCurve]) -> str:
     writer.writerow(CSV_HEADER)
     for curve in curves:
         for eps, bound in curve.points:
-            writer.writerow(
-                [format_float(eps, 10), curve.scheme.value, format_float(bound, 10), curve.mode]
-            )
+            eps_s = format_float(eps, CSV_FLOAT_DIGITS)
+            bound_s = format_float(bound, CSV_FLOAT_DIGITS)
+            writer.writerow([eps_s, curve.scheme.value, bound_s, curve.mode])
     return buffer.getvalue()
 
 
 def curves_from_csv(text: str) -> list[SchemeCurve]:
-    """Parse the normative CSV back into curves (grid order preserved per scheme)."""
+    """Parse the normative CSV back into curves (grid order preserved per scheme).
+
+    A malformed row raises ``ValidationError`` naming its 1-based line.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValidationError(f"expected CSV header {','.join(CSV_HEADER)}")
     by_scheme: dict[tuple, list] = {}
-    for eps_s, scheme_s, bound_s, mode in rows[1:]:
-        key = (SchemeId(scheme_s), mode)
-        by_scheme.setdefault(key, []).append((float(eps_s), float(bound_s)))
+    for lineno, row in enumerate(rows[1:], start=2):
+        try:
+            eps_s, scheme_s, bound_s, mode = row
+            key, point = (SchemeId(scheme_s), mode), (float(eps_s), float(bound_s))
+        except ValueError as exc:
+            raise ValidationError(f"CSV line {lineno}: {exc}") from exc
+        by_scheme.setdefault(key, []).append(point)
     return [
-        SchemeCurve(scheme=scheme, points=tuple(points), bandwidth=float("nan"), mode=mode)
+        SchemeCurve(scheme=scheme, points=tuple(points), mode=mode)
         for (scheme, mode), points in by_scheme.items()
     ]

@@ -76,18 +76,7 @@ class SourceParams:
         if self.epsilon <= 0.0:
             raise ValidationError("epsilon must be > 0")
         _check_flux(self.epsilon)
-        if self.g_squared > 1.0 + G_NORM_SLACK:
-            raise ValidationError(
-                f"|g| <= 1 violated (g1={self.g1}, g2={self.g2}, |g|^2={self.g_squared})"
-            )
-
-    @property
-    def g_squared(self) -> float:
-        return self.g1 * self.g1 + self.g2 * self.g2
-
-    @property
-    def g(self) -> complex:
-        return complex(self.g1, self.g2)
+        _check_disk(self.g1, self.g2)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cvlbi.cli import MAX_EPS_POINTS, build_parser, main
 from cvlbi.estimate import MAX_REPLICATIONS, MAX_SHOTS, MIN_REPLICATIONS
 from cvlbi.fisher import MAX_MC_SAMPLES, MIN_MC_SAMPLES
-from cvlbi.serialize import json_dumps
+from cvlbi.serialize import CSV_FLOAT_DIGITS, format_float, json_dumps
 
 FISHER_DIAG_VACUUM = 2.0 * 0.1**2 / (4.0 + 4.0 * 0.1 + 0.1**2)
 
@@ -67,7 +67,7 @@ class TestStateCommand:
     def test_coherence_out_of_disk_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "state", "--g1", "0.9", "--g2", "0.9")
         assert code == 2
-        assert "|g| <= 1 violated" in err
+        assert err == "error: need finite g with |g| <= 1 (g1=0.9, g2=0.9)\n"
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "state", "--format", "csv")
@@ -262,11 +262,30 @@ class TestConfigFile:
 
 
 class TestRoundTrips:
-    def test_json_reemission_byte_identical(self, tmp_path):
-        path = tmp_path / "fisher.json"
-        assert main(["fisher", "--epsilon", "0.3", "--g1", "0.25", "--output", str(path)]) == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fisher", "--epsilon", "0.3", "--g1", "0.25"],
+            ["state"],
+            ["fisher", "--mc", "--samples", "2000"],
+            ["estimate", "--shots", "100", "--replications", "30"],
+        ],
+        ids=["fisher", "state", "fisher-mc", "estimate"],
+    )
+    def test_json_reemission_byte_identical(self, tmp_path, argv):
+        path = tmp_path / "out.json"
+        assert main([*argv, "--output", str(path)]) == 0
         text = path.read_text()
         assert json_dumps(json.loads(text)) == text
+
+    @pytest.mark.parametrize(
+        "argv", [["state"], ["fisher", "--mc", "--samples", "2000"]], ids=["state", "fisher-mc"]
+    )
+    def test_csv_floats_reformat_to_themselves(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        values = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+        assert values and [format_float(float(v), CSV_FLOAT_DIGITS) for v in values] == values
 
     def test_csv_reemission_byte_identical(self, tmp_path):
         from cvlbi.schemes import curves_from_csv, curves_to_csv

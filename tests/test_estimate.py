@@ -19,6 +19,7 @@ from cvlbi.estimate import (
     MeasurementRecord,
     _MAX_SAMPLING_THREADS,
     _SAMPLE_CHUNK,
+    _moment_starts,
     _nll_and_grad,
     _outcome_buffers,
     _sampling_workers,
@@ -28,7 +29,6 @@ from cvlbi.estimate import (
     log_likelihood,
     log_likelihood_gradient,
     mle,
-    moment_initializer,
     sample_records,
 )
 from cvlbi.fisher import score_vectors
@@ -223,6 +223,10 @@ class TestSampling:
         with pytest.raises(ValidationError, match="shots"):
             sample_records(CFG, 0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            sample_records(CFG, 10, seed=-1)
+
     def test_absurd_shot_count_rejected_before_sampling(self):
         with pytest.raises(ValidationError, match=rf"shots must be in \[1, {MAX_SHOTS}\]"):
             sample_records(CFG, 10**12, seed=0)
@@ -326,7 +330,7 @@ class TestMle:
 
     def test_moment_initializer_near_truth_for_large_records(self):
         record = sample_records(CFG_COHERENT, 500_000, seed=31)
-        g1, g2 = moment_initializer(record)
+        ((g1, g2),) = _moment_starts(record.second_moment[None], CFG_COHERENT.source.epsilon)
         assert math.hypot(g1 - 0.3, g2 - 0.1) <= 0.05
 
     def test_exhausted_iteration_budget_carries_best_iterate(self, monkeypatch):

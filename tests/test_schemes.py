@@ -147,7 +147,7 @@ class TestCumulativeCurves:
 
     def test_curve_validation(self):
         with pytest.raises(ValidationError):
-            SchemeCurve(SchemeId.DD, ((0.1, -1.0),), 1.0)
+            SchemeCurve(SchemeId.DD, ((0.1, -1.0),))
 
 
 class TestOrderingReport:
@@ -223,3 +223,12 @@ class TestCsvEmission:
     def test_bad_header_rejected(self):
         with pytest.raises(ValidationError, match="header"):
             curves_from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize(
+        "row", ["0.1,DD", "0.1,X,0.1,lowest-order", "0.1,DD,abc,lowest-order"],
+        ids=["short-row", "unknown-scheme", "non-number"],
+    )
+    def test_malformed_row_rejected_naming_its_line(self, row):
+        text = "epsilon,scheme,bound,mode\n0.05,DD,0.05,lowest-order\n" + row + "\n"
+        with pytest.raises(ValidationError, match="^CSV line 3: "):
+            curves_from_csv(text)

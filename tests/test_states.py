@@ -61,7 +61,7 @@ class TestSourceParams:
 
     def test_boundary_coherence_allowed(self):
         params = SourceParams(0.1, 1.0, 0.0)
-        assert params.g == 1.0 + 0.0j
+        assert (params.g1, params.g2) == (1.0, 0.0)
 
     def test_parsing_slack_on_boundary(self):
         SourceParams(0.1, 1.0 + 1e-13, 0.0)  # within round-off slack
