@@ -57,7 +57,6 @@ from .schemes import (
     cumulative_curves,
     curves_to_csv,
     ordering_report,
-    rate_factor,
     single_shot_bound,
 )
 from .states import (
@@ -108,7 +107,6 @@ __all__ = [
     "mle",
     "ordering_report",
     "permute_modes",
-    "rate_factor",
     "reduce",
     "reduced_covariance",
     "reduced_covariance_closed",

@@ -36,13 +36,8 @@ from .fisher import (
     fisher_limit_closed_form,
     fisher_monte_carlo,
 )
-from .interferometer import (
-    InterferometerConfig,
-    abbreviations,
-    full_output_covariance,
-    reduced_covariance,
-)
-from .serialize import CSV_FLOAT_DIGITS, format_float, json_dumps
+from .interferometer import InterferometerConfig, abbreviations, reduced_covariance
+from .serialize import csv_dumps, json_dumps
 from .schemes import (
     DEFAULT_GRID_MAX,
     DEFAULT_GRID_MIN,
@@ -153,28 +148,22 @@ def _interferometer_config(args: argparse.Namespace) -> InterferometerConfig:
     return InterferometerConfig.from_values(args.epsilon, args.g1, args.g2, args.n_bar, args.theta)
 
 
-def _matrix_csv(matrices: dict) -> str:
-    lines = ["matrix,row_label,col_label,value"]
-    for name, cov in matrices.items():
-        labels = cov.ordering.names
-        for i, row_label in enumerate(labels):
-            for j, col_label in enumerate(labels):
-                value = format_float(cov.entries[i, j], CSV_FLOAT_DIGITS)
-                lines.append(f"{name},{row_label},{col_label},{value}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_state(args: argparse.Namespace) -> str:
     icfg = _interferometer_config(args)
     reduced = reduced_covariance(icfg)
     matrices = {
         "v_rho": astronomical_covariance(icfg.source),
         "v_sigma": tmsv_covariance_closed(icfg.resource),
-        "v_full": full_output_covariance(icfg),
+        "v_full": reduced.v_full,
         "v_reduced": reduced.v_r,
     }
     if args.format == "csv":
-        return _matrix_csv(matrices)
+        rows = (
+            (name, cov.ordering.names[i], cov.ordering.names[j], cov.entries[i, j])
+            for name, cov in matrices.items()
+            for i, j in np.ndindex(cov.entries.shape)
+        )
+        return csv_dumps(("matrix", "row_label", "col_label", "value"), rows)
     payload = {
         name: {"ordering": list(cov.ordering.names), "entries": cov.entries.tolist()}
         for name, cov in matrices.items()
@@ -225,18 +214,14 @@ def cmd_fisher(args: argparse.Namespace) -> str:
             "seed": mc.seed,
         }
     if args.format == "csv":
-        lines = ["quantity,i,j,value"]
         blocks = [("analytic", payload["analytic"]["entries"]),
                   ("limit_nbar_zero", payload["limit_nbar_zero"]["entries"]),
                   ("limit_nbar_infinity", payload["limit_nbar_infinity"]["entries"])]
         if args.mc:
             blocks.append(("monte_carlo", payload["monte_carlo"]["entries"]))
             blocks.append(("monte_carlo_se", payload["monte_carlo"]["standard_error"]))
-        for name, entries in blocks:
-            for i in range(2):
-                for j in range(2):
-                    lines.append(f"{name},{i},{j},{format_float(entries[i][j], CSV_FLOAT_DIGITS)}")
-        return "\n".join(lines) + "\n"
+        rows = ((name, i, j, block[i][j]) for name, block in blocks for i, j in np.ndindex(2, 2))
+        return csv_dumps(("quantity", "i", "j", "value"), rows)
     return json_dumps(payload)
 
 

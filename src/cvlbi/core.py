@@ -55,6 +55,15 @@ class ConvergenceError(NumericalError):
         self.best = best
 
 
+def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:
+    """Reject a ``value`` that is not an integer in [low, high], naming it ``name``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValidationError(f"{name} must be {bounds}")
+
+
 def as_label(label) -> tuple[str, str]:
     """Normalize a quadrature label to a (mode, quadrature) tuple.
 

@@ -33,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ConvergenceError, ValidationError
-from .fisher import _measured_covariance, fisher_analytic
+from .core import ConvergenceError, ValidationError, _check_integer
+from .fisher import fisher_analytic
 from .interferometer import InterferometerConfig, MeasuredModel
 from .states import _check_disk
 
@@ -165,14 +165,13 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     ``seed`` is an int >= 0 or a ``numpy.random.SeedSequence``, such as a child
     that ``crb_experiment`` spawns; the record's ``seed`` then reads -1.
     """
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValidationError(f"shots must be in [1, {MAX_SHOTS}]")
-    int_seed = isinstance(seed, (int, np.integer))
-    if int_seed and seed < 0:
-        raise ValidationError("seed must be >= 0")
-    chol = np.linalg.cholesky(_measured_covariance(cfg))
+    _check_integer("shots", shots, 1, MAX_SHOTS)
+    spawned = isinstance(seed, np.random.SeedSequence)
+    if not spawned:
+        _check_integer("seed", seed, 0)
+    chol = np.linalg.cholesky(cfg.measured_covariance)
     (out,) = _outcome_buffers(chol, shots, [seed])
-    return MeasurementRecord(outcomes=out, seed=int(seed) if int_seed else -1, config=cfg)
+    return MeasurementRecord(outcomes=out, seed=-1 if spawned else int(seed), config=cfg)
 
 
 def _outcome_buffers(chol: np.ndarray, shots: int, seeds):
@@ -567,15 +566,12 @@ def crb_experiment(
     the sample-covariance entries, se(S_ij) = sqrt((S_ii S_jj + S_ij^2)/(R-1)),
     the level at which the Cramer-Rao inequality is statistically testable.
     """
-    if replications < MIN_REPLICATIONS:
-        raise ValidationError(f"replications must be >= {MIN_REPLICATIONS}")
+    _check_integer("replications", replications, MIN_REPLICATIONS)
     if replications > MAX_REPLICATIONS:
         raise ValidationError(f"replications must be <= {MAX_REPLICATIONS}")
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValidationError(f"shots must be in [1, {MAX_SHOTS}]")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
-    chol = np.linalg.cholesky(_measured_covariance(cfg))
+    _check_integer("shots", shots, 1, MAX_SHOTS)
+    _check_integer("seed", seed, 0)
+    chol = np.linalg.cholesky(cfg.measured_covariance)
     moments = _second_moments(chol, shots, np.random.SeedSequence(seed).spawn(replications))
     fits = _mle_lockstep(cfg, moments, shots)
     estimates = np.array([fit.g for fit in fits])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, _check_positive_definite
+from .core import ValidationError, _check_integer
 from .interferometer import InterferometerConfig
 from .states import _check_disk, _check_flux
 
@@ -92,16 +92,9 @@ class MonteCarloFisher:
     seed: int
 
 
-def _measured_covariance(cfg: InterferometerConfig) -> np.ndarray:
-    """V_r at the config's coherence, checked positive definite and well conditioned."""
-    v = cfg.model.covariance(cfg.source.g1, cfg.source.g2)
-    _check_positive_definite(v, "measured covariance")
-    return v
-
-
 def _score_kernel(cfg: InterferometerConfig):
     """L^-1 for the Cholesky factor L of V_r, and both W_i in eigen form: (U, E, tr W)."""
-    li = np.linalg.inv(np.linalg.cholesky(_measured_covariance(cfg)))
+    li = np.linalg.inv(np.linalg.cholesky(cfg.measured_covariance))
     (lam1, q1), (lam2, q2) = (np.linalg.eigh(li @ d @ li.T) for d in (cfg.model.d1, cfg.model.d2))
     e = np.zeros((2, 8))
     e[0, :4], e[1, 4:] = lam1, lam2
@@ -140,7 +133,7 @@ def score_vectors(cfg: InterferometerConfig, outcomes: np.ndarray) -> np.ndarray
 
 def fisher_analytic(cfg: InterferometerConfig) -> FisherMatrix:
     """Fisher information from the Gaussian trace identity; exact for any n_bar."""
-    v = _measured_covariance(cfg)
+    v = cfg.measured_covariance
     a1, a2 = (np.linalg.solve(v, d) for d in (cfg.model.d1, cfg.model.d2))
     f11 = 0.5 * float(np.trace(a1 @ a1))
     f22 = 0.5 * float(np.trace(a2 @ a2))
@@ -149,10 +142,8 @@ def fisher_analytic(cfg: InterferometerConfig) -> FisherMatrix:
 
 
 def _check_sampling(samples: int, seed: int) -> None:
-    if not MIN_MC_SAMPLES <= samples <= MAX_MC_SAMPLES:
-        raise ValidationError(f"samples must be in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
+    _check_integer("samples", samples, MIN_MC_SAMPLES, MAX_MC_SAMPLES)
+    _check_integer("seed", seed, 0)
 
 
 def fisher_monte_carlo(

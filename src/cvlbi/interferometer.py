@@ -29,6 +29,7 @@ import numpy as np
 from .core import (
     CovarianceMatrix,
     QuadratureOrdering,
+    _check_positive_definite,
     apply_symplectic,
     direct_sum,
     permute_modes,
@@ -65,6 +66,14 @@ class InterferometerConfig:
     def model(self) -> "MeasuredModel":
         """The measured covariance as a linear function of the coherence, built once."""
         return MeasuredModel.from_config(self)
+
+    @cached_property
+    def measured_covariance(self) -> np.ndarray:
+        """V_r at the config's coherence, read-only, checked positive definite once."""
+        v = self.model.covariance(self.source.g1, self.source.g2)
+        _check_positive_definite(v, "measured covariance")
+        v.flags.writeable = False
+        return v
 
     @classmethod
     def from_values(
@@ -193,12 +202,14 @@ class ReducedState:
     """Measured covariance by two construction routes.
 
     ``v_r`` is the closed form (canonical for downstream use); ``v_r_pipeline`` is
-    the product-permute-interfere-reduce result kept for verification. The scalars
-    the closed form is written in come from ``abbreviations``.
+    the product-permute-interfere-reduce result kept for verification, and
+    ``v_full`` is the post-beam-splitter covariance it was reduced from. The
+    scalars the closed form is written in come from ``abbreviations``.
     """
 
     v_r: CovarianceMatrix
     v_r_pipeline: CovarianceMatrix
+    v_full: CovarianceMatrix
 
     @cached_property
     def pipeline_gap(self) -> float:
@@ -208,5 +219,5 @@ class ReducedState:
 
 def reduced_covariance(cfg: InterferometerConfig) -> ReducedState:
     """Run the pipeline, reduce to the measured quadratures, and pair with the closed form."""
-    pipeline = reduce(full_output_covariance(cfg), MEASURED_LABELS)
-    return ReducedState(reduced_covariance_closed(cfg), pipeline)
+    full = full_output_covariance(cfg)
+    return ReducedState(reduced_covariance_closed(cfg), reduce(full, MEASURED_LABELS), full)

@@ -2,9 +2,11 @@
 
 Five measurement schemes are compared through lower bounds on the trace norm of
 their Fisher information, accumulated at the rate measurements can be performed.
-All schemes are granted the same spectral bandwidth (the impartiality assumption),
-so every per-scheme rate factor is the bandwidth delta_nu and the cumulative bound
-is rate * single-shot bound:
+All schemes are granted the same spectral bandwidth (the impartiality assumption).
+Homodyne readout is unconditional, and the photon-counting schemes discard
+identifiable failures without losing channel uses, so every scheme accumulates
+measurements at the rate delta_nu and its cumulative bound is delta_nu times its
+single-shot bound:
 
     CV_INF : 2 eps^2      homodyne readout of the squeezed-resource scheme, high squeezing
     CV_0   : eps^2        same layout with a vacuum resource
@@ -30,7 +32,7 @@ import numpy as np
 
 from .core import ValidationError
 from .fisher import LIMIT_INFINITY, LIMIT_ZERO, fisher_limit_closed_form
-from .serialize import CSV_FLOAT_DIGITS, format_float
+from .serialize import csv_dumps
 from .states import _check_disk
 
 MODE_LOWEST_ORDER = "lowest-order"
@@ -78,10 +80,12 @@ class SchemeCurve:
     def __post_init__(self):
         eps = np.array([p[0] for p in self.points], dtype=float)
         bounds = np.array([p[1] for p in self.points], dtype=float)
-        if eps.size and (np.any(eps <= 0.0) or np.any(np.diff(eps) <= 0.0)):
-            raise ValidationError("curve epsilons must be positive and strictly increasing")
-        if np.any(bounds < 0.0):
-            raise ValidationError("curve bounds must be nonnegative")
+        if not (np.all(np.isfinite(eps)) and np.all(eps > 0.0) and np.all(np.diff(eps) > 0.0)):
+            raise ValidationError("curve epsilons must be finite, positive and strictly increasing")
+        if not (np.all(np.isfinite(bounds)) and np.all(bounds >= 0.0)):
+            raise ValidationError("curve bounds must be finite and nonnegative")
+        if self.mode not in (MODE_LOWEST_ORDER, MODE_EXACT):
+            raise ValidationError(f"unknown curve mode {self.mode!r}")
         object.__setattr__(self, "points", tuple((float(e), float(b)) for e, b in self.points))
 
     @property
@@ -89,19 +93,8 @@ class SchemeCurve:
         return np.array([p[1] for p in self.points])
 
 
-def _check_scheme(scheme) -> None:
-    if not isinstance(scheme, SchemeId):
-        raise ValidationError(f"unknown scheme {scheme!r}; expected a SchemeId member")
-
-
-def rate_factor(scheme: SchemeId, delta_nu: float) -> float:
-    """Successful measurements per unit time; delta_nu for every scheme.
-
-    Homodyne readout is unconditional, and the photon-counting schemes discard
-    identifiable failures without losing channel uses, so under equal bandwidths
-    all schemes accumulate measurements at the same rate.
-    """
-    _check_scheme(scheme)
+def _rate(delta_nu: float) -> float:
+    """The measurement rate of every scheme: the bandwidth delta_nu, checked."""
     if not delta_nu > 0.0:  # NaN included
         raise ValidationError("delta_nu must be > 0")
     # every bound is at most 2 delta_nu: lowest order 2 eps^2 <= 2, exact CV norms below 1
@@ -117,7 +110,8 @@ def single_shot_bound(scheme: SchemeId, eps: float) -> float:
     2 eps^2 exceeds the trace of the source's quantum Fisher information, 4 eps / (2 + eps)
     at g = 0, which no measurement can reach.
     """
-    _check_scheme(scheme)
+    if not isinstance(scheme, SchemeId):
+        raise ValidationError(f"unknown scheme {scheme!r}; expected a SchemeId member")
     if not (math.isfinite(eps) and 0.0 < eps <= 1.0):
         raise ValidationError("eps must be in (0, 1]")
     coeff, power = _BOUND_COEFF_POWER[scheme]
@@ -168,15 +162,16 @@ def cumulative_curves(
 
     With ``exact_cv`` the CV schemes use the exact finite-eps trace norms at the
     given coherence (tagged "exact" in the output); all other entries are the
-    lowest-order bounds. Scheme order is fixed; point order follows the grid. The
-    coherence is checked on every call, whether or not ``exact_cv`` reads it.
+    lowest-order bounds, and every bound is delta_nu times its single-shot value.
+    Scheme order is fixed; point order follows the grid. The coherence is checked
+    on every call, whether or not ``exact_cv`` reads it.
     """
     grid = _validate_grid(eps_grid)
     _check_disk(g1, g2)
+    rate = _rate(delta_nu)
     curves = []
     for scheme in SchemeId:
         exact = exact_cv and scheme in (SchemeId.CV_INF, SchemeId.CV_0)
-        rate = rate_factor(scheme, delta_nu)
         points = []
         for eps in grid:
             shot = (
@@ -238,11 +233,12 @@ def ordering_report(eps_grid, delta_nu: float = 1.0) -> dict:
     are restricted to the grid's span; an empty grid yields an empty report.
     """
     grid = _validate_grid(eps_grid)
+    rate = _rate(delta_nu)
     if grid.size == 0:
-        return {"delta_nu": float(delta_nu), "entries": [], "crossings": [], "coincident": []}
+        return {"delta_nu": rate, "entries": [], "crossings": [], "coincident": []}
     entries = []
     for eps in grid:
-        values = {s: rate_factor(s, delta_nu) * single_shot_bound(s, eps) for s in SchemeId}
+        values = {s: rate * single_shot_bound(s, eps) for s in SchemeId}
         ranking = _ranking(values)
         entries.append(
             {
@@ -252,7 +248,7 @@ def ordering_report(eps_grid, delta_nu: float = 1.0) -> dict:
             }
         )
     return {
-        "delta_nu": float(delta_nu),
+        "delta_nu": rate,
         "entries": entries,
         "crossings": pairwise_crossings(float(grid[0]), float(grid[-1])),
         "coincident": [[s.value for s in COINCIDENT_SCHEMES]],
@@ -261,21 +257,19 @@ def ordering_report(eps_grid, delta_nu: float = 1.0) -> dict:
 
 def curves_to_csv(curves: list[SchemeCurve]) -> str:
     """Normative CSV emission: header epsilon,scheme,bound,mode, one row per point."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for curve in curves:
-        for eps, bound in curve.points:
-            eps_s = format_float(eps, CSV_FLOAT_DIGITS)
-            bound_s = format_float(bound, CSV_FLOAT_DIGITS)
-            writer.writerow([eps_s, curve.scheme.value, bound_s, curve.mode])
-    return buffer.getvalue()
+    rows = (
+        (eps, curve.scheme.value, bound, curve.mode)
+        for curve in curves
+        for eps, bound in curve.points
+    )
+    return csv_dumps(CSV_HEADER, rows)
 
 
 def curves_from_csv(text: str) -> list[SchemeCurve]:
     """Parse the normative CSV back into curves (grid order preserved per scheme).
 
-    A malformed row raises ``ValidationError`` naming its 1-based line.
+    A malformed row, a non-finite value or an unknown mode included, raises
+    ``ValidationError`` naming its 1-based line.
     """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_HEADER:
@@ -285,6 +279,7 @@ def curves_from_csv(text: str) -> list[SchemeCurve]:
         try:
             eps_s, scheme_s, bound_s, mode = row
             key, point = (SchemeId(scheme_s), mode), (float(eps_s), float(bound_s))
+            SchemeCurve(key[0], (point,), mode)  # checks the row's values and mode
         except ValueError as exc:
             raise ValidationError(f"CSV line {lineno}: {exc}") from exc
         by_scheme.setdefault(key, []).append(point)

@@ -1,4 +1,4 @@
-"""Deterministic JSON and float formatting for the machine interfaces.
+"""Deterministic JSON and CSV emission for the machine interfaces.
 
 JSON floats are printed with 17 significant digits (lossless for doubles) and CSV
 floats with 10 (enough that parse-then-reformat is the identity), so emitted
@@ -71,3 +71,13 @@ def _encode(obj, indent: int, level: int) -> str:
 def json_dumps(obj, indent: int = 2) -> str:
     """Serialize to JSON text with fixed-precision floats; ends with a newline."""
     return _encode(obj, indent, 0) + "\n"
+
+
+def _csv_field(value) -> str:
+    return format_float(value, CSV_FLOAT_DIGITS) if isinstance(value, float) else str(value)
+
+
+def csv_dumps(header, rows) -> str:
+    """CSV text: the header, then one line per row; floats at CSV_FLOAT_DIGITS, none quoted."""
+    lines = [",".join(header), *(",".join(map(_csv_field, row)) for row in rows)]
+    return "\n".join(lines) + "\n"

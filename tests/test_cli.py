@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvlbi import cli, interferometer
 from cvlbi.cli import MAX_EPS_POINTS, build_parser, main
 from cvlbi.estimate import MAX_REPLICATIONS, MAX_SHOTS, MIN_REPLICATIONS
 from cvlbi.fisher import MAX_MC_SAMPLES, MIN_MC_SAMPLES
@@ -46,6 +47,25 @@ def test_default_stdout_is_byte_identical_to_golden(capsys, name):
     assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
 
 
+#: CSV stdout of each emitter, one file per argv below; --mc is left out because
+#: its last digits depend on the BLAS kernel
+CSV_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+CSV_GOLDEN_ARGV = {
+    "state.csv": ["state", "--format", "csv"],
+    "fisher.csv": ["fisher", "--format", "csv"],
+    "compare_exact.csv": [
+        "compare", "--format", "csv", "--exact-cv", "--g1", "0.3", "--eps-points", "17",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_GOLDEN_ARGV))
+def test_csv_stdout_is_byte_identical_to_golden(capsys, name):
+    code, out, err = run_cli(capsys, *CSV_GOLDEN_ARGV[name])
+    assert code == 0, err
+    assert out.encode() == (CSV_GOLDEN_DIR / name).read_bytes()
+
+
 class TestStateCommand:
     def test_reference_run(self, capsys):
         code, out, _ = run_cli(
@@ -73,6 +93,22 @@ class TestStateCommand:
         code, out, _ = run_cli(capsys, "state", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "matrix,row_label,col_label,value"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_pipeline_runs_once(self, capsys, monkeypatch, fmt):
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return original(cfg)
+
+        original = interferometer.full_output_covariance
+        # wherever the command could reach the pipeline from
+        for module in (interferometer, cli):
+            monkeypatch.setattr(module, "full_output_covariance", counted, raising=False)
+        code, _, err = run_cli(capsys, "state", "--format", fmt)
+        assert code == 0, err
+        assert len(calls) == 1
 
 
 class TestFisherCommand:

@@ -2,6 +2,7 @@
 
 A name that nothing in ``src/cvlbi`` reads states a fact no code relies on, so it
 can drift from the code that does. Reads by tests do not count; an import does.
+The package's ``__all__`` lists exactly the names its ``__init__`` imports.
 """
 
 import ast
@@ -84,6 +85,15 @@ def unread_names(package_dir: Path) -> list[str]:
 
 def test_every_private_name_and_constant_is_read():
     assert unread_names(PACKAGE_DIR) == []
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    (exported,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    ]
+    assert sorted(exported) == sorted({name for _, name in _imports(tree)})
 
 
 def test_finds_an_unread_constant_and_accepts_a_read_one(tmp_path):

@@ -31,7 +31,7 @@ from cvlbi.estimate import (
     mle,
     sample_records,
 )
-from cvlbi.fisher import score_vectors
+from cvlbi.fisher import fisher_monte_carlo, score_vectors
 from cvlbi.interferometer import InterferometerConfig, reduced_covariance_closed
 
 CFG = InterferometerConfig.from_values(0.1, 0.0, 0.0, n_bar=1.0, theta=0.0)
@@ -438,6 +438,27 @@ class TestCrbExperiment:
         ):
             assert key in payload
         assert payload["estimator"] == "mle"
+
+
+@pytest.mark.parametrize(
+    "function,args",
+    [
+        (crb_experiment, (CFG, 100.5, 30)),
+        (crb_experiment, (CFG, 100, 30.5)),
+        (crb_experiment, (CFG, 100, 30, 1.5)),
+        (sample_records, (CFG, 10.5, 0)),
+        (sample_records, (CFG, 100, 1.5)),
+        (fisher_monte_carlo, (CFG, 1000.5)),
+        (fisher_monte_carlo, (CFG, 1000, 1.5)),
+    ],
+    ids=[
+        "crb-shots", "crb-replications", "crb-seed", "sample-shots", "sample-seed",
+        "mc-samples", "mc-seed",
+    ],
+)
+def test_non_integer_size_or_seed_rejected(function, args):
+    with pytest.raises(ValidationError, match=r"^\w+ must be an integer, got \d+\.5$"):
+        function(*args)
 
 
 class TestLockstepFits:

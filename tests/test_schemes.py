@@ -1,5 +1,6 @@
 """Tests for the cross-scheme cumulative comparison and its emission formats."""
 
+import itertools
 import math
 import sys
 
@@ -20,44 +21,62 @@ from cvlbi.schemes import (
     default_eps_grid,
     ordering_report,
     pairwise_crossings,
-    rate_factor,
     single_shot_bound,
 )
 
 
 class TestRateFactor:
+    """Every scheme accumulates at the bandwidth delta_nu, checked once per call."""
+
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_equal_bandwidth_for_all_schemes(self, scheme):
-        assert rate_factor(scheme, 1e9) == 1e9
-        assert rate_factor(scheme, 1.0) == 1.0
+        grid = [0.1, 0.5]
+        for delta_nu in (1.0, 1e9):
+            (curve,) = [c for c in cumulative_curves(grid, delta_nu) if c.scheme is scheme]
+            assert curve.bounds.tolist() == [delta_nu * single_shot_bound(scheme, e) for e in grid]
+            report = ordering_report(grid, delta_nu)
+            assert report["delta_nu"] == delta_nu
+            assert report["entries"] == ordering_report(grid, 1.0)["entries"]
 
     def test_nonpositive_bandwidth_rejected(self):
-        with pytest.raises(ValidationError, match="delta_nu"):
-            rate_factor(SchemeId.DD, 0.0)
-        with pytest.raises(ValidationError, match="delta_nu"):
-            rate_factor(SchemeId.DD, -1.0)
+        for grid, delta_nu in itertools.product(([0.1], []), (0.0, -1.0, math.nan)):
+            with pytest.raises(ValidationError, match="^delta_nu must be > 0$"):
+                cumulative_curves(grid, delta_nu)
+            with pytest.raises(ValidationError, match="^delta_nu must be > 0$"):
+                ordering_report(grid, delta_nu)
 
     @pytest.mark.parametrize("delta_nu", [1e308, math.inf])
     def test_bandwidth_whose_bounds_overflow_rejected(self, delta_nu):
-        with pytest.raises(ValidationError, match=r"^delta_nu = .* is too large"):
-            rate_factor(SchemeId.DD, delta_nu)
+        for grid in ([0.1], []):
+            with pytest.raises(ValidationError, match=r"^delta_nu = .* is too large"):
+                cumulative_curves(grid, delta_nu)
+            with pytest.raises(ValidationError, match=r"^delta_nu = .* is too large"):
+                ordering_report(grid, delta_nu)
 
     def test_largest_bandwidth_keeps_every_bound_finite(self):
         # the largest delta_nu with 2 delta_nu finite; the exact CV norms stay below 2
         delta_nu = sys.float_info.max / 2.0
-        assert rate_factor(SchemeId.DD, delta_nu) == delta_nu
-        with pytest.raises(ValidationError, match="delta_nu"):
-            rate_factor(SchemeId.DD, math.nextafter(delta_nu, math.inf))
+        grid = [1e-3, 0.5, 1.0]
+        assert ordering_report(grid, delta_nu)["delta_nu"] == delta_nu
         for exact_cv in (False, True):
-            curves = cumulative_curves([1e-3, 0.5, 1.0], delta_nu, exact_cv, g1=0.9, g2=0.1)
+            curves = cumulative_curves(grid, delta_nu, exact_cv, g1=0.9, g2=0.1)
             assert all(np.isfinite(curve.bounds).all() for curve in curves)
+        too_large = math.nextafter(delta_nu, math.inf)
+        with pytest.raises(ValidationError, match="delta_nu"):
+            cumulative_curves(grid, too_large)
+        with pytest.raises(ValidationError, match="delta_nu"):
+            ordering_report(grid, too_large)
+
+    def test_bandwidth_checked_after_grid_and_coherence(self):
+        with pytest.raises(ValidationError, match="eps grid"):
+            cumulative_curves([0.2, 0.1], -1.0)
+        with pytest.raises(ValidationError, match="eps grid"):
+            ordering_report([0.2, 0.1], -1.0)
+        with pytest.raises(ValidationError, match="need finite g"):
+            cumulative_curves([0.1], -1.0, g1=2.0)
 
 
 class TestUnknownScheme:
-    def test_rate_factor_names_scheme(self):
-        with pytest.raises(ValidationError, match="'DD'"):
-            rate_factor("DD", 1.0)
-
     def test_single_shot_bound_names_scheme(self):
         with pytest.raises(ValidationError, match="'DD'"):
             single_shot_bound("DD", 0.1)
@@ -148,6 +167,18 @@ class TestCumulativeCurves:
     def test_curve_validation(self):
         with pytest.raises(ValidationError):
             SchemeCurve(SchemeId.DD, ((0.1, -1.0),))
+        with pytest.raises(ValidationError, match="epsilons"):
+            SchemeCurve(SchemeId.DD, ((math.nan, 0.1),))
+        with pytest.raises(ValidationError, match="epsilons"):
+            SchemeCurve(SchemeId.DD, ((0.1, 0.1), (math.nan, 0.2)))
+        with pytest.raises(ValidationError, match="epsilons"):
+            SchemeCurve(SchemeId.DD, ((0.1, 0.1), (math.inf, 0.2)))
+        with pytest.raises(ValidationError, match="bounds"):
+            SchemeCurve(SchemeId.DD, ((0.1, math.nan),))
+        with pytest.raises(ValidationError, match="bounds"):
+            SchemeCurve(SchemeId.DD, ((0.1, math.inf),))
+        with pytest.raises(ValidationError, match="mode 'whatever'"):
+            SchemeCurve(SchemeId.DD, ((0.1, 0.1),), mode="whatever")
 
 
 class TestOrderingReport:
@@ -225,8 +256,16 @@ class TestCsvEmission:
             curves_from_csv("a,b,c\n1,2,3\n")
 
     @pytest.mark.parametrize(
-        "row", ["0.1,DD", "0.1,X,0.1,lowest-order", "0.1,DD,abc,lowest-order"],
-        ids=["short-row", "unknown-scheme", "non-number"],
+        "row",
+        [
+            "0.1,DD",
+            "0.1,X,0.1,lowest-order",
+            "0.1,DD,abc,lowest-order",
+            "nan,DD,nan,lowest-order",
+            "0.1,DD,inf,whatever",
+            "0.1,DD,0.1,whatever",
+        ],
+        ids=["short-row", "unknown-scheme", "non-number", "nan", "inf", "unknown-mode"],
     )
     def test_malformed_row_rejected_naming_its_line(self, row):
         text = "epsilon,scheme,bound,mode\n0.05,DD,0.05,lowest-order\n" + row + "\n"
