@@ -19,7 +19,6 @@ from .core import (
     apply_symplectic,
     check_physicality,
     direct_sum,
-    gaussian_log_pdf,
     matrix_exponential,
     permute_modes,
     reduce,
@@ -65,7 +64,6 @@ from .states import (
     astronomical_covariance,
     tmsv_covariance_closed,
     tmsv_covariance_exponential,
-    vacuum_covariance,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +99,6 @@ __all__ = [
     "fisher_limit_closed_form",
     "fisher_monte_carlo",
     "full_output_covariance",
-    "gaussian_log_pdf",
     "log_likelihood",
     "matrix_exponential",
     "mle",
@@ -116,5 +113,4 @@ __all__ = [
     "symplectic_form",
     "tmsv_covariance_closed",
     "tmsv_covariance_exponential",
-    "vacuum_covariance",
 ]

@@ -1,4 +1,4 @@
-"""Gaussian covariance-matrix substrate: orderings, symplectic transforms, reduction, PDFs.
+"""Gaussian covariance-matrix substrate: orderings, symplectic transforms, reduction.
 
 Conventions fixed here and relied on by every other module:
 
@@ -56,8 +56,11 @@ class ConvergenceError(NumericalError):
 
 
 def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:
-    """Reject a ``value`` that is not an integer in [low, high], naming it ``name``."""
-    if not isinstance(value, (int, np.integer)):
+    """Reject a ``value`` that is not an integer in [low, high], naming it ``name``.
+
+    A ``bool`` is not an integer here, as numpy's ``np.bool_`` is not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if not low <= value <= high:
         bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
@@ -345,25 +348,6 @@ def _check_positive_definite(entries: np.ndarray, what: str) -> np.ndarray:
         condition = high / low if low > 0.0 else math.inf
         raise NumericalError(f"{what} is numerically singular (condition number {condition:.3e})")
     return eigs
-
-
-def gaussian_log_pdf(v: CovarianceMatrix, xs: np.ndarray) -> np.ndarray:
-    """Log density of the zero-mean Gaussian with covariance V at each row of xs.
-
-    log P(x) = -x^T V^-1 x / 2 - log((2 pi)^d det V) / 2, the normalized density
-    (the Monte Carlo integral of exp(log_pdf) over R^d is 1; see tests). ``xs``
-    is an (n, d) outcome array; the result has shape (n,).
-    """
-    xs = np.asarray(xs, dtype=float)
-    d = v.dim
-    if xs.ndim != 2 or xs.shape[1] != d:
-        raise ValidationError(f"outcome array shape {xs.shape} does not match dimension {d}")
-    _check_positive_definite(v.entries, "measurement covariance")
-    chol = np.linalg.cholesky(v.entries)
-    half_logdet = float(np.sum(np.log(np.diag(chol))))
-    ys = np.linalg.solve(chol, xs.T)
-    quad = np.sum(ys * ys, axis=0)
-    return -0.5 * quad - half_logdet - 0.5 * d * math.log(2.0 * math.pi)
 
 
 def check_physicality(v: CovarianceMatrix) -> PhysicalityReport:

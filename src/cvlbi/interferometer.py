@@ -132,33 +132,6 @@ def full_output_covariance(cfg: InterferometerConfig) -> CovarianceMatrix:
     return apply_symplectic(paired, _TWO_SITE_BEAM_SPLITTER)
 
 
-def full_output_covariance_closed(cfg: InterferometerConfig) -> CovarianceMatrix:
-    """Post-beam-splitter covariance from its closed-form blocks.
-
-    V_f = (1/2) [[V_D, V_12], [V_21, V_D]] with V_21 = V_12^T, in the same
-    (A1, A2, B1, B2) ordering as the pipeline result.
-    """
-    a, b, c, d, e, f = abbreviations(cfg)
-    v_d = np.array(
-        [
-            [a + b, 0.0, -a + b, 0.0],
-            [0.0, a + b, 0.0, -a + b],
-            [-a + b, 0.0, a + b, 0.0],
-            [0.0, -a + b, 0.0, a + b],
-        ]
-    )
-    v_12 = np.array(
-        [
-            [c + d, -e + f, -c + d, e + f],
-            [e + f, c - d, -e + f, -(c + d)],
-            [-c + d, e + f, c + d, -e + f],
-            [-e + f, -(c + d), e + f, c - d],
-        ]
-    )
-    entries = 0.5 * np.block([[v_d, v_12], [v_12.T, v_d]])
-    return CovarianceMatrix(OUTPUT_ORDERING, entries)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasuredModel:
     """Measured covariance over (x_A1, p_A2, x_B1, p_B2) as V_0 + g1 D1 + g2 D2.

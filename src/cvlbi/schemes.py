@@ -15,9 +15,10 @@ single-shot bound:
     GJC12  : eps / 2      distributed-single-photon scheme
 
 The DD, LOCAL, and GJC12 values are imported constants from the published
-single-photon analyses; they are not re-derived here. The CV entries can
-optionally be replaced by the exact finite-eps trace norms of the closed-form
-limit matrices ("exact" mode) to quantify the lowest-order truncation.
+single-photon analyses; they are not re-derived here. Only CV_INF and CV_0 have
+exact values: the finite-eps trace norms of the closed-form limit matrices, which
+"exact" mode puts in place of their lowest-order bounds to quantify the
+truncation. No curve of another scheme can be tagged "exact".
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ _BOUND_COEFF_POWER = {
     SchemeId.GJC12: (0.5, 1),
 }
 
+#: the schemes with exact values, and the limit of the homodyne Fisher matrix each one takes
+_EXACT_LIMIT = {SchemeId.CV_INF: LIMIT_INFINITY, SchemeId.CV_0: LIMIT_ZERO}
+
 #: schemes whose bounds coincide at lowest order
 COINCIDENT_SCHEMES = (SchemeId.CV_0, SchemeId.LOCAL)
 
@@ -78,14 +82,14 @@ class SchemeCurve:
     mode: str = MODE_LOWEST_ORDER
 
     def __post_init__(self):
-        eps = np.array([p[0] for p in self.points], dtype=float)
+        _validate_grid([p[0] for p in self.points], "curve epsilons")
         bounds = np.array([p[1] for p in self.points], dtype=float)
-        if not (np.all(np.isfinite(eps)) and np.all(eps > 0.0) and np.all(np.diff(eps) > 0.0)):
-            raise ValidationError("curve epsilons must be finite, positive and strictly increasing")
         if not (np.all(np.isfinite(bounds)) and np.all(bounds >= 0.0)):
             raise ValidationError("curve bounds must be finite and nonnegative")
         if self.mode not in (MODE_LOWEST_ORDER, MODE_EXACT):
             raise ValidationError(f"unknown curve mode {self.mode!r}")
+        if self.mode == MODE_EXACT and self.scheme not in _EXACT_LIMIT:
+            raise ValidationError(f"scheme {self.scheme} has no exact values")
         object.__setattr__(self, "points", tuple((float(e), float(b)) for e, b in self.points))
 
     @property
@@ -118,37 +122,27 @@ def single_shot_bound(scheme: SchemeId, eps: float) -> float:
     return coeff * eps**power
 
 
-def exact_single_shot_trace_norm(
-    scheme: SchemeId, eps: float, g1: float = 0.0, g2: float = 0.0
-) -> float:
-    """Exact finite-eps trace norm where a closed form exists (the CV schemes).
-
-    Non-CV schemes fall back to the lowest-order bound; their exact Fisher
-    matrices are imported constants, not modeled here.
-    """
-    if scheme is SchemeId.CV_INF:
-        return fisher_limit_closed_form(eps, g1, g2, LIMIT_INFINITY).trace_norm
-    if scheme is SchemeId.CV_0:
-        return fisher_limit_closed_form(eps, g1, g2, LIMIT_ZERO).trace_norm
-    return single_shot_bound(scheme, eps)
-
-
 def default_eps_grid() -> np.ndarray:
     return np.geomspace(DEFAULT_GRID_MIN, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS)
 
 
-def _validate_grid(eps_grid) -> np.ndarray:
+def _validate_grid(eps_grid, what: str = "eps grid") -> np.ndarray:
     grid = np.asarray(eps_grid, dtype=float)
     if grid.ndim != 1:
-        raise ValidationError("eps grid must be one-dimensional")
-    if grid.size and (
-        not np.all(np.isfinite(grid))
-        or np.any(grid <= 0.0)
-        or np.any(grid > 1.0)
-        or np.any(np.diff(grid) <= 0.0)
-    ):
-        raise ValidationError("eps grid must be strictly increasing within (0, 1]")
+        raise ValidationError(f"{what} must be one-dimensional")
+    # NaN fails both comparisons
+    if not (np.all((grid > 0.0) & (grid <= 1.0)) and np.all(np.diff(grid) > 0.0)):
+        raise ValidationError(f"{what} must be strictly increasing within (0, 1]")
     return grid
+
+
+def _bound_table(grid: np.ndarray, rate: float) -> np.ndarray:
+    """Cumulative lowest-order bounds, one row per scheme in ``SchemeId`` order.
+
+    ``float_power`` rounds eps^2 as ``single_shot_bound`` does; ``grid**2`` may not.
+    """
+    rows = map(_BOUND_COEFF_POWER.get, SchemeId)
+    return np.array([rate * (coeff * np.float_power(grid, power)) for coeff, power in rows])
 
 
 def cumulative_curves(
@@ -160,28 +154,21 @@ def cumulative_curves(
 ) -> list[SchemeCurve]:
     """Cumulative Fisher lower-bound curves, one per scheme, over a shared grid.
 
-    With ``exact_cv`` the CV schemes use the exact finite-eps trace norms at the
-    given coherence (tagged "exact" in the output); all other entries are the
-    lowest-order bounds, and every bound is delta_nu times its single-shot value.
-    Scheme order is fixed; point order follows the grid. The coherence is checked
-    on every call, whether or not ``exact_cv`` reads it.
+    Every bound is delta_nu times a single-shot value: the lowest-order one, or with
+    ``exact_cv`` the exact trace norm at the given coherence for the schemes that have
+    one (tagged "exact"). Scheme order is fixed; point order follows the grid. The
+    coherence is checked on every call, whether or not ``exact_cv`` reads it.
     """
     grid = _validate_grid(eps_grid)
     _check_disk(g1, g2)
     rate = _rate(delta_nu)
     curves = []
-    for scheme in SchemeId:
-        exact = exact_cv and scheme in (SchemeId.CV_INF, SchemeId.CV_0)
-        points = []
-        for eps in grid:
-            shot = (
-                exact_single_shot_trace_norm(scheme, eps, g1, g2)
-                if exact
-                else single_shot_bound(scheme, eps)
-            )
-            points.append((float(eps), rate * shot))
-        mode = MODE_EXACT if exact else MODE_LOWEST_ORDER
-        curves.append(SchemeCurve(scheme=scheme, points=tuple(points), mode=mode))
+    for scheme, bounds in zip(SchemeId, _bound_table(grid, rate)):
+        limit = _EXACT_LIMIT.get(scheme) if exact_cv else None
+        if limit is not None:
+            bounds = [rate * fisher_limit_closed_form(e, g1, g2, limit).trace_norm for e in grid]
+        mode = MODE_LOWEST_ORDER if limit is None else MODE_EXACT
+        curves.append(SchemeCurve(scheme, tuple(zip(grid, bounds)), mode))
     return curves
 
 
@@ -236,17 +223,11 @@ def ordering_report(eps_grid, delta_nu: float = 1.0) -> dict:
     rate = _rate(delta_nu)
     if grid.size == 0:
         return {"delta_nu": rate, "entries": [], "crossings": [], "coincident": []}
-    entries = []
-    for eps in grid:
-        values = {s: rate * single_shot_bound(s, eps) for s in SchemeId}
-        ranking = _ranking(values)
-        entries.append(
-            {
-                "epsilon": float(eps),
-                "ranking": ranking,
-                "matches_small_eps_ordering": ranking == SMALL_EPS_RANKING,
-            }
-        )
+    rankings = [_ranking(dict(zip(SchemeId, b))) for b in _bound_table(grid, rate).T.tolist()]
+    entries = [
+        {"epsilon": eps, "ranking": r, "matches_small_eps_ordering": r == SMALL_EPS_RANKING}
+        for eps, r in zip(grid.tolist(), rankings)
+    ]
     return {
         "delta_nu": rate,
         "entries": entries,

@@ -59,9 +59,9 @@ def _check_flux(eps: float) -> None:
 class SourceParams:
     """Astronomical-state parameters: photon flux epsilon and mutual coherence g.
 
-    epsilon must be strictly positive; the zero-flux covariance is singular in the
-    intermediate representation, so callers wanting vacuum should use
-    ``vacuum_covariance`` or a TMSV with n_bar = 0.
+    epsilon must be strictly positive: at zero flux the covariance does not depend on
+    g, so nothing about g can be measured. The vacuum is the identity covariance in
+    this convention, as is a TMSV with n_bar = 0.
     """
 
     epsilon: float
@@ -116,12 +116,6 @@ class TmsvParams:
     @property
     def r(self) -> float:
         return 0.5 * math.acosh(2.0 * self.n_bar + 1.0)
-
-
-def vacuum_covariance(*modes: str) -> CovarianceMatrix:
-    """Vacuum state on the given modes (identity in this convention)."""
-    ordering = QuadratureOrdering.interleaved(*modes)
-    return CovarianceMatrix(ordering, np.eye(ordering.dim))
 
 
 def astronomical_covariance(params: SourceParams) -> CovarianceMatrix:

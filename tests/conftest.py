@@ -4,9 +4,15 @@ import struct
 import sys
 
 import pytest
+from hypothesis import settings
 
 from cvlbi.core import ValidationError
 from cvlbi.states import SourceParams
+
+#: every property test draws the same examples on every run, however long each one takes;
+#: a test states only its own ``max_examples``
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 def _bits(x: float) -> int:

@@ -47,14 +47,19 @@ def test_default_stdout_is_byte_identical_to_golden(capsys, name):
     assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
 
 
-#: CSV stdout of each emitter, one file per argv below; --mc is left out because
-#: its last digits depend on the BLAS kernel
+#: CSV stdout of each emitter, plus exact-mode JSON at g2 != 0 and a bandwidth
+#: other than 1, one file per argv below; --mc is left out because its last
+#: digits depend on the BLAS kernel
 CSV_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CSV_GOLDEN_ARGV = {
     "state.csv": ["state", "--format", "csv"],
     "fisher.csv": ["fisher", "--format", "csv"],
     "compare_exact.csv": [
         "compare", "--format", "csv", "--exact-cv", "--g1", "0.3", "--eps-points", "17",
+    ],
+    "compare_exact.json": [
+        "compare", "--exact-cv", "--g1", "0.3", "--g2", "0.2", "--delta-nu", "2.5",
+        "--eps-points", "17",
     ],
 }
 
@@ -825,7 +830,7 @@ class TestFuzzedCommandLine:
         return tmp_path_factory.mktemp("fuzz")
 
     def test_drawn_flag_sets(self, workdir):
-        @settings(max_examples=100, deadline=None, derandomize=True)
+        @settings(max_examples=100)
         @given(fuzzed_runs(workdir))
         def run(argv):
             assert_clean_exit(argv)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import gaussian_log_pdf, vacuum_covariance
 from scipy.linalg import expm as scipy_expm
 
 from cvlbi.core import (
@@ -15,13 +16,12 @@ from cvlbi.core import (
     apply_symplectic,
     check_physicality,
     direct_sum,
-    gaussian_log_pdf,
     matrix_exponential,
     permute_modes,
     reduce,
     symplectic_form,
 )
-from cvlbi.states import SourceParams, TmsvParams, astronomical_covariance, vacuum_covariance
+from cvlbi.states import SourceParams, TmsvParams, astronomical_covariance
 
 RNG_SEED = 20240611
 

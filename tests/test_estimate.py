@@ -8,9 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import gaussian_log_pdf
 
 import cvlbi.estimate as estimate_module
-from cvlbi.core import ConvergenceError, NumericalError, ValidationError, gaussian_log_pdf
+from cvlbi.core import ConvergenceError, NumericalError, ValidationError
 from cvlbi.estimate import (
     GRADIENT_TOL,
     LOG_2PI,
@@ -450,14 +451,20 @@ class TestCrbExperiment:
         (sample_records, (CFG, 100, 1.5)),
         (fisher_monte_carlo, (CFG, 1000.5)),
         (fisher_monte_carlo, (CFG, 1000, 1.5)),
+        (sample_records, (CFG, True, 0)),
+        (crb_experiment, (CFG, True, 30)),
+        (crb_experiment, (CFG, 100, 30, True)),
+        (fisher_monte_carlo, (CFG, 1000, True)),
     ],
     ids=[
         "crb-shots", "crb-replications", "crb-seed", "sample-shots", "sample-seed",
-        "mc-samples", "mc-seed",
+        "mc-samples", "mc-seed", "sample-shots-bool", "crb-shots-bool", "crb-seed-bool",
+        "mc-seed-bool",
     ],
 )
 def test_non_integer_size_or_seed_rejected(function, args):
-    with pytest.raises(ValidationError, match=r"^\w+ must be an integer, got \d+\.5$"):
+    (bad,) = [a for a in args[1:] if type(a) is not int]
+    with pytest.raises(ValidationError, match=rf"^\w+ must be an integer, got {bad!r}$"):
         function(*args)
 
 

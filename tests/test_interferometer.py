@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import full_output_covariance_closed
 
 from cvlbi.core import symplectic_form
 from cvlbi.interferometer import (
@@ -14,7 +15,6 @@ from cvlbi.interferometer import (
     abbreviations,
     beam_splitter_matrix,
     full_output_covariance,
-    full_output_covariance_closed,
     reduced_covariance,
     reduced_covariance_closed,
 )

@@ -28,6 +28,21 @@ from cvlbi.schemes import (
 class TestRateFactor:
     """Every scheme accumulates at the bandwidth delta_nu, checked once per call."""
 
+    @pytest.mark.parametrize("delta_nu", [1.0, 2.5, 1e300])
+    def test_every_point_is_delta_nu_times_single_shot_bound(self, delta_nu):
+        grid = np.unique(np.concatenate([default_eps_grid(), np.geomspace(1e-12, 1.0, 1001)]))
+        for curve in cumulative_curves(grid, delta_nu):
+            expected = [delta_nu * single_shot_bound(curve.scheme, e) for e in grid.tolist()]
+            assert curve.bounds.tolist() == expected
+        for entry in ordering_report(grid, delta_nu)["entries"]:
+            ranked = [
+                {delta_nu * single_shot_bound(SchemeId(s), entry["epsilon"]) for s in group}
+                for group in entry["ranking"]
+            ]
+            assert all(len(values) == 1 for values in ranked)  # ties are equal values
+            levels = [values.pop() for values in ranked]
+            assert levels == sorted(set(levels), reverse=True)  # strictly descending
+
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_equal_bandwidth_for_all_schemes(self, scheme):
         grid = [0.1, 0.5]
@@ -179,6 +194,18 @@ class TestCumulativeCurves:
             SchemeCurve(SchemeId.DD, ((0.1, math.inf),))
         with pytest.raises(ValidationError, match="mode 'whatever'"):
             SchemeCurve(SchemeId.DD, ((0.1, 0.1),), mode="whatever")
+        with pytest.raises(ValidationError, match=r"epsilons .* within \(0, 1\]"):
+            SchemeCurve(SchemeId.DD, ((0.1, 0.1), (5.0, 5.0)))
+        SchemeCurve(SchemeId.DD, ((0.1, 0.1), (1.0, 1.0)))
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_only_schemes_with_exact_values_take_exact_mode(self, scheme):
+        curve = ((0.1, 0.01),)
+        if scheme in (SchemeId.CV_INF, SchemeId.CV_0):
+            assert SchemeCurve(scheme, curve, MODE_EXACT).mode == MODE_EXACT
+        else:
+            with pytest.raises(ValidationError, match=f"SchemeId.{scheme.value} has no exact"):
+                SchemeCurve(scheme, curve, MODE_EXACT)
 
 
 class TestOrderingReport:
@@ -264,8 +291,13 @@ class TestCsvEmission:
             "nan,DD,nan,lowest-order",
             "0.1,DD,inf,whatever",
             "0.1,DD,0.1,whatever",
+            "5,DD,5,lowest-order",
+            "0.1,DD,0.1,exact",
         ],
-        ids=["short-row", "unknown-scheme", "non-number", "nan", "inf", "unknown-mode"],
+        ids=[
+            "short-row", "unknown-scheme", "non-number", "nan", "inf", "unknown-mode",
+            "eps-above-one", "exact-without-exact-values",
+        ],
     )
     def test_malformed_row_rejected_naming_its_line(self, row):
         text = "epsilon,scheme,bound,mode\n0.05,DD,0.05,lowest-order\n" + row + "\n"

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import vacuum_covariance
 
 from cvlbi.core import ValidationError, check_physicality
 from cvlbi.fisher import LIMIT_INFINITY, LIMIT_ZERO, fisher_limit_closed_form
@@ -14,7 +15,6 @@ from cvlbi.states import (
     astronomical_covariance,
     tmsv_covariance_closed,
     tmsv_covariance_exponential,
-    vacuum_covariance,
 )
 
 RNG_SEED = 774401
