@@ -67,6 +67,16 @@ def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:
         raise ValidationError(f"{name} must be {bounds}")
 
 
+def _check_outcomes(outcomes) -> np.ndarray:
+    """Homodyne ``outcomes`` as a float array, rejected unless finite and (M >= 1) x 4."""
+    m = np.asarray(outcomes, dtype=float)
+    if m.ndim != 2 or m.shape[1] != 4 or m.shape[0] < 1:
+        raise ValidationError(f"outcomes must be an (M >= 1) x 4 array, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("outcomes must be finite")
+    return m
+
+
 def as_label(label) -> tuple[str, str]:
     """Normalize a quadrature label to a (mode, quadrature) tuple.
 

@@ -9,13 +9,12 @@ bound F^-1 / M.
 The likelihood and its gradient depend on the data only through the empirical
 second-moment matrix, so each optimizer step costs a few 4x4 operations no
 matter how many shots a record holds, and the CRB experiment keeps only the
-second moment of each record, drawn on one thread per usable CPU (at most four)
-into two reused buffers per thread; each record has its own spawned seed, so no
-result depends on the thread count. Its replications are fitted in lockstep by
-one projected BFGS over arrays, a row per start of each replication: each round
-evaluates the pending points of all rows, boundary-polish points on the unit
-circle included, in one stacked 4x4 likelihood call, with the same bits as
-fitting the records one by one.
+second moment of each record, drawn on a thread pool from its own spawned seed,
+so no result depends on the thread count. Its replications are fitted in
+lockstep by one projected BFGS over arrays, a row per start of each replication:
+each round evaluates the pending points of all rows, boundary-polish points on
+the unit circle included, in one stacked 4x4 likelihood call, with the same bits
+as fitting the records one by one.
 Replication seeds are spawned from the master seed with
 ``numpy.random.SeedSequence``, making multi-replication runs reproducible
 across machines. The choice of maximum likelihood is this package's, it is
@@ -27,13 +26,12 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import ConvergenceError, ValidationError, _check_integer
+from .core import ConvergenceError, ValidationError, _check_integer, _check_outcomes
 from .fisher import fisher_analytic
 from .interferometer import InterferometerConfig, MeasuredModel
 from .states import _check_disk
@@ -69,11 +67,7 @@ class MeasurementRecord:
     config: InterferometerConfig
 
     def __post_init__(self):
-        m = np.asarray(self.outcomes, dtype=float)
-        if m.ndim != 2 or m.shape[1] != 4 or m.shape[0] < 1:
-            raise ValidationError(f"outcomes must be an (M >= 1) x 4 array, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("outcomes must be finite")
+        m = _check_outcomes(self.outcomes)
         m.flags.writeable = False
         object.__setattr__(self, "outcomes", m)
 
@@ -170,25 +164,20 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     if not spawned:
         _check_integer("seed", seed, 0)
     chol = np.linalg.cholesky(cfg.measured_covariance)
-    (out,) = _outcome_buffers(chol, shots, [seed])
+    out, z = np.empty((shots, 4)), np.empty((min(shots, _SAMPLE_CHUNK), 4))
+    _draw_outcomes(chol, seed, out, z)
     return MeasurementRecord(outcomes=out, seed=-1 if spawned else int(seed), config=cfg)
 
 
-def _outcome_buffers(chol: np.ndarray, shots: int, seeds):
-    """For each seed in turn, yield its record's outcomes (shots x 4).
-
-    Rows are chol @ z for standard normals z, drawn _SAMPLE_CHUNK rows at a time.
-    One chunk buffer and one outcome buffer serve every seed: each yield
-    overwrites the array the previous one returned.
-    """
-    out, z = np.empty((shots, 4)), np.empty((min(shots, _SAMPLE_CHUNK), 4))
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        for start in range(0, shots, len(z)):
-            rows = min(len(z), shots - start)
-            rng.standard_normal(out=z[:rows])
-            np.matmul(z[:rows], chol.T, out=out[start : start + rows])
-        yield out
+def _draw_outcomes(chol: np.ndarray, seed, out: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (shots x 4) with the outcomes drawn from ``seed`` and return it:
+    rows chol @ w for standard normals w, drawn into ``z`` len(z) rows at a time."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, len(out), len(z)):
+        rows = min(len(z), len(out) - start)
+        rng.standard_normal(out=z[:rows])
+        np.matmul(z[:rows], chol.T, out=out[start : start + rows])
+    return out
 
 
 def _sampling_workers(shots: int, replications: int) -> int:
@@ -203,38 +192,26 @@ def _sampling_workers(shots: int, replications: int) -> int:
 def _second_moments(chol: np.ndarray, shots: int, seeds) -> np.ndarray:
     """The second moment of each seed's record (len(seeds) x 4 x 4), drawn in parallel.
 
-    The seeds are split into _sampling_workers contiguous blocks, each sampled by
-    its own _outcome_buffers, whose numpy draws and BLAS products release the GIL:
-    block 0 on the calling thread, each other block on a ``threading.Thread``.
-    Row j has the bits of seed j's ``sample_records(...).second_moment`` however
-    the seeds are split. Once every block has ended, the first failing block's
-    exception is raised. No public function runs on a worker thread, since the
-    benchmark's span tracer keeps one span stack and is not thread-safe.
+    A pool of _sampling_workers threads draws the seeds in as many contiguous
+    blocks, each block's records into one pair of reused buffers (a new pair per
+    record raised the peak RSS); numpy's draws and BLAS products release the GIL.
+    Row j has the bits of seed j's ``sample_records(...).second_moment``, and the
+    lowest failing seed's exception is raised after every thread has ended. No
+    public function runs on a worker: the benchmark's span tracer keeps one span
+    stack and is not thread-safe.
     """
-    moments = np.empty((len(seeds), 4, 4))
+    # imported here: at the top it would add about 8 ms to every ``import cvlbi``
+    from concurrent.futures import ThreadPoolExecutor
+
     workers = _sampling_workers(shots, len(seeds))
-    bounds = [len(seeds) * block // workers for block in range(workers + 1)]
-    errors = {}
 
-    def fill(block: int):
-        lo, hi = bounds[block], bounds[block + 1]
-        try:
-            for j, out in enumerate(_outcome_buffers(chol, shots, seeds[lo:hi]), lo):
-                moments[j] = _second_moment(out)
-        except Exception as exc:  # raised on the calling thread below
-            errors[block] = exc
+    def draw_block(block: int) -> list:
+        lo, hi = len(seeds) * block // workers, len(seeds) * (block + 1) // workers
+        out, z = np.empty((shots, 4)), np.empty((min(shots, _SAMPLE_CHUNK), 4))
+        return [_second_moment(_draw_outcomes(chol, seed, out, z)) for seed in seeds[lo:hi]]
 
-    threads = [threading.Thread(target=fill, args=(block,)) for block in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        fill(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return moments
+    with ThreadPoolExecutor(workers) as pool:
+        return np.stack([m for block in pool.map(draw_block, range(workers)) for m in block])
 
 
 def _nll_and_grad(model: MeasuredModel, s: np.ndarray, g: np.ndarray):
@@ -554,13 +531,12 @@ def crb_experiment(
 
     Each replication samples a fresh record from a spawned child seed and keeps
     its second moment, the bits of ``sample_records(...).second_moment``. The
-    records share one Cholesky factor and are drawn on one thread per usable
-    CPU, at most four; the results do not depend on the thread count. All replications
-    are then fitted as ``mle`` fits one record, in lockstep, with the bits of
-    record-by-record fits. The empirical covariance of the estimates across
-    replications is compared with the CRB. The efficiency window and the
-    minimum-eigenvalue check are reported as flags, not raised as errors
-    (finite-sample misses are data).
+    records share one Cholesky factor and are drawn on a thread pool, whose size
+    changes no result. All replications are then fitted as ``mle`` fits one
+    record, in lockstep, with the bits of record-by-record fits. The empirical
+    covariance of the estimates across replications is compared with the CRB.
+    The efficiency window and the minimum-eigenvalue check are reported as
+    flags, not raised as errors (finite-sample misses are data).
 
     The minimum-eigenvalue slack is three times the largest standard error of
     the sample-covariance entries, se(S_ij) = sqrt((S_ii S_jj + S_ij^2)/(R-1)),

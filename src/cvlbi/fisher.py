@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, _check_integer
+from .core import ValidationError, _check_integer, _check_outcomes
 from .interferometer import InterferometerConfig
 from .states import _check_disk, _check_flux
 
@@ -122,11 +122,7 @@ def score_vectors(cfg: InterferometerConfig, outcomes: np.ndarray) -> np.ndarray
     ``outcomes`` is an (M >= 1) x 4 array of finite values, or one row of 4.
     """
     outcomes = np.asarray(outcomes, dtype=float)
-    rows = outcomes[None, :] if outcomes.shape == (4,) else outcomes
-    if rows.ndim != 2 or rows.shape[1] != 4 or rows.shape[0] < 1:
-        raise ValidationError(f"outcomes must be an (M >= 1) x 4 array, got {outcomes.shape}")
-    if not np.all(np.isfinite(rows)):
-        raise ValidationError("outcomes must be finite")
+    rows = _check_outcomes(outcomes[None, :] if outcomes.shape == (4,) else outcomes)
     li, kernel = _score_kernel(cfg)
     return _scores(kernel, li @ rows.T).T
 

@@ -82,6 +82,7 @@ class SchemeCurve:
     mode: str = MODE_LOWEST_ORDER
 
     def __post_init__(self):
+        _check_scheme(self.scheme)
         _validate_grid([p[0] for p in self.points], "curve epsilons")
         bounds = np.array([p[1] for p in self.points], dtype=float)
         if not (np.all(np.isfinite(bounds)) and np.all(bounds >= 0.0)):
@@ -107,6 +108,11 @@ def _rate(delta_nu: float) -> float:
     return float(delta_nu)
 
 
+def _check_scheme(scheme) -> None:
+    if not isinstance(scheme, SchemeId):
+        raise ValidationError(f"unknown scheme {scheme!r}; expected a SchemeId member")
+
+
 def single_shot_bound(scheme: SchemeId, eps: float) -> float:
     """Lowest-order single-shot trace-norm bound for one scheme.
 
@@ -114,8 +120,7 @@ def single_shot_bound(scheme: SchemeId, eps: float) -> float:
     2 eps^2 exceeds the trace of the source's quantum Fisher information, 4 eps / (2 + eps)
     at g = 0, which no measurement can reach.
     """
-    if not isinstance(scheme, SchemeId):
-        raise ValidationError(f"unknown scheme {scheme!r}; expected a SchemeId member")
+    _check_scheme(scheme)
     if not (math.isfinite(eps) and 0.0 < eps <= 1.0):
         raise ValidationError("eps must be in (0, 1]")
     coeff, power = _BOUND_COEFF_POWER[scheme]

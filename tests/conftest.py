@@ -1,13 +1,21 @@
 """Fixtures shared by the test modules."""
 
+import os
 import struct
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from cvlbi.core import ValidationError
 from cvlbi.states import SourceParams
+
+#: the tests that start ``python -m cvlbi`` import the package from this checkout, as the
+#: ``pythonpath`` setting in pyproject.toml makes this process do
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 #: every property test draws the same examples on every run, however long each one takes;
 #: a test states only its own ``max_examples``

@@ -1,7 +1,9 @@
 """Tests for sampling, likelihood, maximum likelihood, and the CRB experiment."""
 
+import itertools
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -20,9 +22,9 @@ from cvlbi.estimate import (
     MeasurementRecord,
     _MAX_SAMPLING_THREADS,
     _SAMPLE_CHUNK,
+    _draw_outcomes,
     _moment_starts,
     _nll_and_grad,
-    _outcome_buffers,
     _sampling_workers,
     _second_moment,
     _second_moments,
@@ -208,9 +210,10 @@ class TestSampling:
         # 1.1M shots is more than one _SAMPLE_CHUNK: the multi-chunk fill of both paths
         children = np.random.SeedSequence(4).spawn(count)
         chol = np.linalg.cholesky(CFG_COHERENT.model.covariance(0.3, 0.1))
-        fused = [_second_moment(out) for out in _outcome_buffers(chol, shots, children)]
-        assert len(fused) == count
-        for moment, child in zip(fused, np.random.SeedSequence(4).spawn(count)):
+        # one pair of buffers for every child, as one block of crb_experiment's draws
+        out, z = np.empty((shots, 4)), np.empty((min(shots, _SAMPLE_CHUNK), 4))
+        for child in children:
+            moment = _second_moment(_draw_outcomes(chol, child, out, z))
             record = sample_records(CFG_COHERENT, shots, child)
             assert np.array_equal(moment, record.second_moment)
             rng = np.random.default_rng(child)
@@ -593,11 +596,11 @@ class TestParallelSampling:
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         assert _sampling_workers(10_000, 100) == expected
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
+    def test_one_cpu_draws_on_one_thread(self, monkeypatch):
         use_cpus(monkeypatch, 1)
         made = record_threads(monkeypatch)
         crb_experiment(CFG, shots=500, replications=30, seed=0)
-        assert made == []
+        assert len(made) == 1 and not made[0].is_alive()
 
     def test_bad_config_fails_before_any_thread(self, monkeypatch):
         use_cpus(monkeypatch, 4)
@@ -615,6 +618,17 @@ class TestParallelSampling:
         # row would show as a moment that differs from its seed's record
         use_workers(monkeypatch, workers)
         made = record_threads(monkeypatch)
+        # the first `workers` draws wait for each other: no block ends, and frees its
+        # thread, before the pool has started all `workers` of its threads
+        draw, drawn = _draw_outcomes, itertools.count()
+        barrier = threading.Barrier(workers, timeout=30)
+
+        def draw_together(chol, seed, out, z):
+            if next(drawn) < workers:
+                barrier.wait()
+            return draw(chol, seed, out, z)
+
+        monkeypatch.setattr(estimate_module, "_draw_outcomes", draw_together)
         chol = np.linalg.cholesky(CFG_COHERENT.model.covariance(0.3, 0.1))
         children = np.random.SeedSequence(11).spawn(replications)
         interval = sys.getswitchinterval()
@@ -623,7 +637,7 @@ class TestParallelSampling:
             moments = _second_moments(chol, 1000, children)
         finally:
             sys.setswitchinterval(interval)
-        assert len(made) == workers - 1 and not any(t.is_alive() for t in made)
+        assert len(made) == workers and not any(t.is_alive() for t in made)
         expected = [sample_records(CFG_COHERENT, 1000, child).second_moment for child in children]
         assert moments.shape == (replications, 4, 4)
         assert np.array_equal(moments, np.stack(expected))
@@ -639,22 +653,34 @@ class TestParallelSampling:
         assert [fit_fields(f) for f in one.fits] == [fit_fields(f) for f in two.fits]
         assert one.to_json_dict() == two.to_json_dict()
 
-    def test_error_in_a_later_block_reaches_the_caller(self, monkeypatch):
-        def failing(out):
-            if threading.current_thread() is threading.main_thread():
-                return _second_moment(out)
-            raise RuntimeError(threading.current_thread().name)
+    def test_error_of_the_lowest_failing_seed_reaches_the_caller(self, monkeypatch):
+        # seeds 4 and 20 both fail, seed 4 after seed 20 has; seed 4's error is raised
+        later = threading.Event()
+
+        def failing(chol, seed, out, z):
+            replication = seed.spawn_key[-1]
+            if replication == 20:
+                later.set()
+                raise RuntimeError("seed 20")
+            if replication == 4:
+                later.wait(timeout=30)
+                raise RuntimeError("seed 4")
+            return _draw_outcomes(chol, seed, out, z)
 
         use_workers(monkeypatch, 3)
-        made = record_threads(monkeypatch)
-        monkeypatch.setattr(estimate_module, "_second_moment", failing)
+        monkeypatch.setattr(estimate_module, "_draw_outcomes", failing)
         before = threading.active_count()
-        with pytest.raises(RuntimeError) as excinfo:
+        with pytest.raises(RuntimeError, match="^seed 4$"):
             crb_experiment(CFG, shots=500, replications=30, seed=0)
-        # blocks 1 and 2 both fail; block 1, the first thread made, is the one raised
-        assert len(made) == 2 and str(excinfo.value) == made[0].name
+        assert later.is_set()
         assert threading.active_count() == before
-        assert not any(t.is_alive() for t in made)
+
+    def test_import_leaves_the_thread_pool_unloaded(self):
+        # concurrent.futures is imported by the first CRB experiment, not by the package
+        code = "import sys, cvlbi; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestScoreStatistics:

@@ -196,6 +196,8 @@ class TestCumulativeCurves:
             SchemeCurve(SchemeId.DD, ((0.1, 0.1),), mode="whatever")
         with pytest.raises(ValidationError, match=r"epsilons .* within \(0, 1\]"):
             SchemeCurve(SchemeId.DD, ((0.1, 0.1), (5.0, 5.0)))
+        with pytest.raises(ValidationError, match="unknown scheme 'DD'; expected a SchemeId member"):
+            SchemeCurve("DD", ((0.1, 0.1),))
         SchemeCurve(SchemeId.DD, ((0.1, 0.1), (1.0, 1.0)))
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
