@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ConvergenceError, ValidationError, _check_integer, _check_outcomes
+from .core import DRAW_CHUNK, ConvergenceError, ValidationError, _check_integer, _check_outcomes
 from .fisher import fisher_analytic
 from .interferometer import InterferometerConfig, MeasuredModel
 from .states import _check_disk
@@ -41,15 +41,13 @@ LOG_2PI = math.log(2.0 * math.pi)
 GRADIENT_TOL = 1e-8
 MAX_ITERATIONS = 500
 MIN_REPLICATIONS = 30
-#: a record holds 32 bytes per shot, so the largest one takes 320 MB; the outcome and
-#: chunk buffers of crb_experiment's sampling threads together hold at most as many
-#: rows, unless one thread alone needs more
+#: a record holds 32 bytes per shot, so the largest one takes 320 MB; the outcome
+#: buffers of crb_experiment's sampling threads together hold at most as many rows,
+#: unless one thread alone needs more
 MAX_SHOTS = 10_000_000
 #: replications keep 128 bytes of moments plus one fit each; run time grows with them
 MAX_REPLICATIONS = 100_000
 
-#: rows generated per chunk when sampling large records
-_SAMPLE_CHUNK = 1 << 20
 #: most threads drawing one CRB experiment's records: the gain was measured on two
 #: CPUs only, and an affinity mask does not show a container's CPU quota
 _MAX_SAMPLING_THREADS = 4
@@ -154,8 +152,9 @@ class EstimateResult:
 def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRecord:
     """Draw M i.i.d. zero-mean outcomes with the measured covariance.
 
-    Rows are Cholesky factor times standard normals, generated in fixed-size
-    chunks from a single seeded generator; the record is deterministic per seed.
+    Rows are Cholesky factor times standard normals, drawn DRAW_CHUNK rows at a
+    time from a single seeded generator; the record is deterministic per seed,
+    and its bits do not depend on the chunk length.
     ``seed`` is an int >= 0 or a ``numpy.random.SeedSequence``, such as a child
     that ``crb_experiment`` spawns; the record's ``seed`` then reads -1.
     """
@@ -164,29 +163,32 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     if not spawned:
         _check_integer("seed", seed, 0)
     chol = np.linalg.cholesky(cfg.measured_covariance)
-    out, z = np.empty((shots, 4)), np.empty((min(shots, _SAMPLE_CHUNK), 4))
+    out, z = np.empty((shots, 4)), np.empty((min(shots, DRAW_CHUNK + 1), 4))
     _draw_outcomes(chol, seed, out, z)
     return MeasurementRecord(outcomes=out, seed=-1 if spawned else int(seed), config=cfg)
 
 
 def _draw_outcomes(chol: np.ndarray, seed, out: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Fill ``out`` (shots x 4) with the outcomes drawn from ``seed`` and return it:
-    rows chol @ w for standard normals w, drawn into ``z`` len(z) rows at a time."""
+    rows chol @ w for standard normals w, drawn into ``z`` DRAW_CHUNK rows at a time.
+    A lone last row joins the chunk before it (``z`` holds DRAW_CHUNK + 1 rows), as
+    numpy multiplies one row by another kernel: a record then has the bits of one
+    product over all its rows, whatever the chunk length."""
     rng = np.random.default_rng(seed)
-    for start in range(0, len(out), len(z)):
-        rows = min(len(z), len(out) - start)
-        rng.standard_normal(out=z[:rows])
-        np.matmul(z[:rows], chol.T, out=out[start : start + rows])
+    ends = [*range(DRAW_CHUNK, len(out) - 1, DRAW_CHUNK), len(out)]
+    for start, end in zip([0, *ends], ends):
+        rng.standard_normal(out=z[: end - start])
+        np.matmul(z[: end - start], chol.T, out=out[start:end])
     return out
 
 
 def _sampling_workers(shots: int, replications: int) -> int:
     """Threads that draw a CRB experiment's records: at most one per usable CPU and
     per replication, at most _MAX_SAMPLING_THREADS, and few enough that their
-    outcome and chunk buffers together hold at most MAX_SHOTS rows."""
+    outcome buffers together hold at most MAX_SHOTS rows (each thread's normals add
+    at most DRAW_CHUNK + 1 rows, 512 KB)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    rows = shots + min(shots, _SAMPLE_CHUNK)
-    return min(cpus or 1, replications, _MAX_SAMPLING_THREADS, max(1, MAX_SHOTS // rows))
+    return min(cpus or 1, replications, _MAX_SAMPLING_THREADS, max(1, MAX_SHOTS // shots))
 
 
 def _second_moments(chol: np.ndarray, shots: int, seeds) -> np.ndarray:
@@ -207,7 +209,7 @@ def _second_moments(chol: np.ndarray, shots: int, seeds) -> np.ndarray:
 
     def draw_block(block: int) -> list:
         lo, hi = len(seeds) * block // workers, len(seeds) * (block + 1) // workers
-        out, z = np.empty((shots, 4)), np.empty((min(shots, _SAMPLE_CHUNK), 4))
+        out, z = np.empty((shots, 4)), np.empty((min(shots, DRAW_CHUNK + 1), 4))
         return [_second_moment(_draw_outcomes(chol, seed, out, z)) for seed in seeds[lo:hi]]
 
     with ThreadPoolExecutor(workers) as pool:

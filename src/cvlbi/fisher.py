@@ -26,15 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, _check_integer, _check_outcomes
+from .core import DRAW_CHUNK, ValidationError, _check_integer, _check_outcomes
 from .interferometer import InterferometerConfig
 from .states import _check_disk, _check_flux
 
 PSD_FLOOR = -1e-9
-
-#: samples drawn per chunk; fixed so results are a function of (seed, samples) only. At
-#: 2^14 one chunk's buffers (normals, U Z and scores: 1.8 MB) stay in a 2 MB L2 cache.
-MC_CHUNK = 1 << 14
 
 MIN_MC_SAMPLES = 1000
 #: memory stays at one chunk; run time is about 0.11 s per million samples on one Xeon thread
@@ -149,7 +145,7 @@ def fisher_monte_carlo(
 
     Each draw is a row z of standard normals: the whitened form of the outcome
     x = L z, scored as (z^T W_i z - tr W_i) / 2 without forming x. Rows come in
-    chunks of MC_CHUNK from one seeded generator, drawn into one reused buffer,
+    chunks of DRAW_CHUNK from one seeded generator, drawn into one reused buffer,
     so the result is a function of (seed, samples) only. Per chunk, the sums of
     the score products s_i s_j are the Gram matrix S S^T of the 2 x m scores S,
     and the sums of their squares are that of S squared entrywise. Reported
@@ -167,13 +163,13 @@ def fisher_monte_carlo(
     rng = np.random.default_rng(seed)
 
     # one set of buffers serves every chunk; a short last chunk gets its own
-    rows = min(MC_CHUNK, samples)
+    rows = min(DRAW_CHUNK, samples)
     z, uz, s = np.empty((rows, 4)), np.empty((8, rows)), np.empty((2, rows))
     gram = np.zeros((2, 2))
     gram_sq = np.zeros((2, 2))
     score_sum = np.zeros(2)
-    for start in range(0, samples, MC_CHUNK):
-        m = min(MC_CHUNK, samples - start)
+    for start in range(0, samples, DRAW_CHUNK):
+        m = min(DRAW_CHUNK, samples - start)
         if m < rows:
             z, uz, s = z[:m], np.empty((8, m)), np.empty((2, m))
         rng.standard_normal(out=z)

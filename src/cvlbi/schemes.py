@@ -127,10 +127,6 @@ def single_shot_bound(scheme: SchemeId, eps: float) -> float:
     return coeff * eps**power
 
 
-def default_eps_grid() -> np.ndarray:
-    return np.geomspace(DEFAULT_GRID_MIN, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS)
-
-
 def _validate_grid(eps_grid, what: str = "eps grid") -> np.ndarray:
     grid = np.asarray(eps_grid, dtype=float)
     if grid.ndim != 1:

@@ -25,10 +25,12 @@ from cvlbi.interferometer import (
     reduced_covariance,
 )
 from cvlbi.schemes import (
+    DEFAULT_GRID_MAX,
+    DEFAULT_GRID_MIN,
+    DEFAULT_GRID_POINTS,
     cumulative_curves,
     curves_from_csv,
     curves_to_csv,
-    default_eps_grid,
     pairwise_crossings,
 )
 from cvlbi.states import (
@@ -39,6 +41,8 @@ from cvlbi.states import (
     tmsv_covariance_exponential,
 )
 
+#: the grid ``cvlbi compare`` runs on by default
+DEFAULT_GRID = np.geomspace(DEFAULT_GRID_MIN, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS)
 EPS_G_GRID = [(eps, g) for eps in (1e-3, 1e-2, 1e-1) for g in ((0.0, 0.0), (0.3, 0.4), (0.9, 0.0))]
 
 
@@ -151,7 +155,7 @@ def test_criterion_5_monte_carlo_fisher():
 
 def test_criterion_6_scheme_ordering_and_crossover():
     start = time.perf_counter()
-    text = curves_to_csv(cumulative_curves(default_eps_grid()))
+    text = curves_to_csv(cumulative_curves(DEFAULT_GRID))
     by_eps: dict[str, dict[str, float]] = {}
     for line in text.splitlines()[1:]:
         eps_s, scheme, bound_s, _ = line.split(",")
@@ -261,6 +265,6 @@ class TestCriterion9Properties:
 
     def test_csv_round_trip(self):
         start = time.perf_counter()
-        original = curves_to_csv(cumulative_curves(default_eps_grid()))
+        original = curves_to_csv(cumulative_curves(DEFAULT_GRID))
         ok = curves_to_csv(curves_from_csv(original)) == original
         report(9, ok, "scheme CSV reparse and re-emission is byte-identical", time.perf_counter() - start, 60.0)

@@ -10,10 +10,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import gaussian_log_pdf
+from oracles import (
+    TAU,
+    block_basis,
+    block_betas,
+    gaussian_log_pdf,
+    linear_estimate,
+    linear_estimate_covariance,
+)
 
 import cvlbi.estimate as estimate_module
-from cvlbi.core import ConvergenceError, NumericalError, ValidationError
+from cvlbi.core import DRAW_CHUNK, ConvergenceError, NumericalError, ValidationError
 from cvlbi.estimate import (
     GRADIENT_TOL,
     LOG_2PI,
@@ -21,7 +28,6 @@ from cvlbi.estimate import (
     MAX_SHOTS,
     MeasurementRecord,
     _MAX_SAMPLING_THREADS,
-    _SAMPLE_CHUNK,
     _draw_outcomes,
     _moment_starts,
     _nll_and_grad,
@@ -205,23 +211,22 @@ class TestSampling:
         b = sample_records(CFG, 1000, seed=9)
         assert np.array_equal(a.outcomes, b.outcomes)
 
-    @pytest.mark.parametrize("shots, count", [(1000, 5), (1_100_000, 2)])
+    @pytest.mark.parametrize(
+        "shots, count", [(1000, 5), (3 * DRAW_CHUNK + 17, 2), (DRAW_CHUNK + 1, 3)]
+    )
     def test_fused_moments_equal_sample_records_bitwise(self, shots, count):
-        # 1.1M shots is more than one _SAMPLE_CHUNK: the multi-chunk fill of both paths
+        # 3 chunks plus a short one, and a lone last row: the multi-chunk fill of both
+        # paths has the bits of one product over all rows, whatever DRAW_CHUNK is
         children = np.random.SeedSequence(4).spawn(count)
         chol = np.linalg.cholesky(CFG_COHERENT.model.covariance(0.3, 0.1))
         # one pair of buffers for every child, as one block of crb_experiment's draws
-        out, z = np.empty((shots, 4)), np.empty((min(shots, _SAMPLE_CHUNK), 4))
+        out, z = np.empty((shots, 4)), np.empty((min(shots, DRAW_CHUNK + 1), 4))
         for child in children:
             moment = _second_moment(_draw_outcomes(chol, child, out, z))
             record = sample_records(CFG_COHERENT, shots, child)
             assert np.array_equal(moment, record.second_moment)
-            rng = np.random.default_rng(child)
-            chunks = [
-                rng.standard_normal((min(_SAMPLE_CHUNK, shots - start), 4)) @ chol.T
-                for start in range(0, shots, _SAMPLE_CHUNK)
-            ]
-            assert np.array_equal(record.outcomes, np.concatenate(chunks))
+            normals = np.random.default_rng(child).standard_normal((shots, 4))
+            assert np.array_equal(record.outcomes, normals @ chol.T)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValidationError, match="shots"):
@@ -244,6 +249,51 @@ class TestSampling:
         bad[1, 2] = np.nan
         with pytest.raises(ValidationError, match="finite"):
             MeasurementRecord(outcomes=bad, seed=0, config=CFG)
+
+
+#: (eps 0.1, n_bar 1) and the far-squeezed (eps 0.5, n_bar 1e3), at coherences off the axes
+LINEAR_CASES = [
+    InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1.0, theta=0.7),
+    InterferometerConfig.from_values(0.5, -0.4, 0.5, n_bar=1e3, theta=2.0),
+]
+
+
+class TestLinearEstimator:
+    """The score step from g = 0: unbiased, with an exact covariance, at any shot count."""
+
+    @pytest.mark.parametrize("cfg", LINEAR_CASES, ids=["weak", "squeezed"])
+    def test_mean_and_covariance_on_sampled_records(self, cfg):
+        replications, shots = 3000, 100
+        g = np.array([cfg.source.g1, cfg.source.g2])
+        moments = np.stack([
+            sample_records(cfg, shots, seed).second_moment for seed in range(replications)
+        ])
+        estimates = linear_estimate(cfg.model, moments)
+        exact = linear_estimate_covariance(cfg.model, g, shots)
+        mean_se = np.sqrt(np.diag(exact) / replications)
+        assert np.all(np.abs(estimates.mean(axis=0) - g) <= 3.0 * mean_se)
+        # each sample (co)variance within 4 of its standard errors, the spread of the
+        # deviation products over sqrt(R): about 0.026 of a variance here
+        deviations = estimates - estimates.mean(axis=0)
+        products = deviations[:, [0, 0, 1]] * deviations[:, [0, 1, 1]]
+        sample = products.sum(axis=0) / (replications - 1)
+        se = products.std(axis=0) / math.sqrt(replications)
+        assert np.all(np.abs(sample - exact[[0, 0, 1], [0, 1, 1]]) <= 4.0 * se)
+
+    @pytest.mark.parametrize("cfg", LINEAR_CASES, ids=["weak", "squeezed"])
+    def test_is_the_block_moment_estimate_weighted_by_inverse_beta_squared(self, cfg):
+        # in the blocks S_s of Q^T S Q: g_lin = sum_s u_s / beta_s^2 / (2 gamma sum_s 1 / beta_s^2),
+        # with u_s,k = tr(tau_k S_s)
+        moments = np.stack([sample_records(cfg, 50, seed).second_moment for seed in range(5)])
+        q = block_basis(cfg.resource.theta)
+        blocks = q.T @ moments @ q
+        weights = [beta**-2 for beta in block_betas(cfg.source.epsilon, cfg.resource.n_bar)]
+        weighted = sum(
+            w * np.einsum("kij,rji->rk", np.stack(TAU), blocks[:, 2 * s : 2 * s + 2, 2 * s : 2 * s + 2])
+            for s, w in enumerate(weights)
+        )
+        expected = weighted / (cfg.source.epsilon * sum(weights))
+        np.testing.assert_allclose(linear_estimate(cfg.model, moments), expected, rtol=0, atol=1e-12)
 
 
 class TestLogLikelihood:
@@ -344,6 +394,17 @@ class TestMle:
             mle(record)
         best = excinfo.value.best
         assert best is not None and math.hypot(*best) <= 1.0 + 1e-12
+
+
+@pytest.mark.xfail(
+    raises=ConvergenceError, strict=True,
+    reason="ROADMAP items 3 and 6: the stop rule of projected BFGS, and one failed fit ends the run",
+)
+@pytest.mark.parametrize("shots, seed", [(2, 3), (5, 35), (5, 40), (5, 42)])
+def test_tiny_records_at_the_cli_defaults_finish(shots, seed):
+    # with MAX_ITERATIONS lifted, the failing replications' fits end on the circle after
+    # 595, 967 and 675 iterations; at seed 42 the start that fails is the one that loses
+    crb_experiment(CFG, shots, 30, seed)
 
 
 class TestBoundaryRootFinder:
@@ -576,10 +637,10 @@ class TestParallelSampling:
         "shots, cpus, replications, expected",
         [
             (MAX_SHOTS, 64, 100, 1),
-            (MAX_SHOTS // 2, 64, 100, 1),
-            (MAX_SHOTS // 2 - _SAMPLE_CHUNK, 64, 100, 2),
-            (MAX_SHOTS // 2 - _SAMPLE_CHUNK + 1, 64, 100, 1),
-            (MAX_SHOTS // 4 - _SAMPLE_CHUNK, 64, 100, 4),
+            (MAX_SHOTS // 2 + 1, 64, 100, 1),
+            (MAX_SHOTS // 2, 64, 100, 2),
+            (MAX_SHOTS // 4 + 1, 64, 100, 3),
+            (MAX_SHOTS // 4, 64, 100, 4),
             (10_000, 1, 100, 1),
             (10_000, 2, 100, 2),
             (10_000, 64, 100, _MAX_SAMPLING_THREADS),

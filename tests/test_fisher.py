@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import TAU, block_basis, block_betas, block_fisher, fisher_decimal
 
-from cvlbi.core import ValidationError, symplectic_form
+from cvlbi.core import DRAW_CHUNK, ValidationError, symplectic_form
 from cvlbi.fisher import (
     LIMIT_INFINITY,
     LIMIT_ZERO,
     MAX_MC_SAMPLES,
-    MC_CHUNK,
     PSD_FLOOR,
     FisherMatrix,
     _min_eigenvalue_2x2,
@@ -75,8 +75,8 @@ def monte_carlo_reference(cfg: InterferometerConfig, samples: int, seed: int):
     chol = np.linalg.cholesky(cfg.model.covariance(cfg.source.g1, cfg.source.g2))
     rng = np.random.default_rng(seed)
     prod_sum, prod_sumsq, score_sum = np.zeros(3), np.zeros(3), np.zeros(2)
-    for start in range(0, samples, MC_CHUNK):
-        z = rng.standard_normal((min(MC_CHUNK, samples - start), 4))
+    for start in range(0, samples, DRAW_CHUNK):
+        z = rng.standard_normal((min(DRAW_CHUNK, samples - start), 4))
         s = score_reference(cfg, z @ chol.T)
         prods = np.column_stack([s[:, 0] * s[:, 0], s[:, 0] * s[:, 1], s[:, 1] * s[:, 1]])
         prod_sum += prods.sum(axis=0)
@@ -433,7 +433,7 @@ class TestMonteCarlo:
         assert peak < 4e6
 
     def test_matches_unwhitened_reference_on_same_draws(self):
-        samples = 3 * MC_CHUNK + 17
+        samples = 3 * DRAW_CHUNK + 17
         mc = fisher_monte_carlo(self.CFG, samples, seed=5)
         entries, se, s_mean, s_se = monte_carlo_reference(self.CFG, samples, seed=5)
         np.testing.assert_allclose(mc.fisher.entries, entries, rtol=1e-12, atol=0)
@@ -609,3 +609,70 @@ class TestAnalyticFisherFacts:
         )
         traces = self.traces(log_eps, mag, phase, theta)
         assert np.all((low <= traces) & (traces <= high))
+
+
+def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entrywise |a - b| over the largest |b|."""
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+class TestBlockModel:
+    """V_r as two 2x2 blocks, and the Fisher matrix it gives in closed form."""
+
+    #: n_bar from none to far beyond the paper's squeezing
+    N_BARS = (0.0, 1e-3, 0.1, 1.0, 3.0, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8, 1e10)
+
+    def configs(self, seed: int, radius: float, per_n_bar: int = 4):
+        """Configs at every N_BARS value: eps log-uniform in [1e-4, 1], |g| <= radius, any theta."""
+        rng = np.random.default_rng(RNG_SEED + seed)
+        for n_bar in self.N_BARS:
+            for _ in range(per_n_bar):
+                mag, phase = radius * math.sqrt(rng.uniform()), rng.uniform(0.0, 2 * math.pi)
+                yield InterferometerConfig.from_values(
+                    10.0 ** rng.uniform(-4.0, 0.0), mag * math.cos(phase), mag * math.sin(phase),
+                    n_bar=n_bar, theta=rng.uniform(0.0, 2 * math.pi),
+                )
+
+    def test_basis_splits_v_r_into_two_blocks(self):
+        resolution = 8 * np.finfo(float).eps
+        for cfg in self.configs(10, 0.999):
+            src, res = cfg.source, cfg.resource
+            q, v = block_basis(res.theta), cfg.measured_covariance
+            assert np.abs(q.T @ q - np.eye(4)).max() <= resolution
+            coherence = src.epsilon / 2 * (src.g1 * TAU[0] + src.g2 * TAU[1])
+            blocks = np.zeros((4, 4))
+            for k, beta in enumerate(block_betas(src.epsilon, res.n_bar)):
+                blocks[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = beta * np.eye(2) + coherence
+            assert np.abs(q.T @ v @ q - blocks).max() <= resolution * np.abs(v).max()
+
+    def test_block_fisher_matches_fifty_digits(self):
+        # measured: at most 6.6e-16 over these configs
+        for cfg in self.configs(11, 0.999):
+            src = cfg.source
+            exact = fisher_decimal(src.epsilon, src.g1, src.g2, cfg.resource.n_bar)
+            block = block_fisher(src.epsilon, src.g1, src.g2, cfg.resource.n_bar)
+            assert relative_gap(block, exact) <= 1e-15
+
+    def test_fisher_analytic_loses_digits_as_n_bar_grows(self):
+        # measured: at most 1.7e-15 max(1, n_bar) over 3,900 configs with |g| <= 0.9; the
+        # LAPACK solve against V_r, whose condition number grows as n_bar, loses them
+        for cfg in self.configs(12, 0.9, per_n_bar=10):
+            src, n_bar = cfg.source, cfg.resource.n_bar
+            block = block_fisher(src.epsilon, src.g1, src.g2, n_bar)
+            assert relative_gap(fisher_analytic(cfg).entries, block) <= 2e-15 * max(1.0, n_bar)
+
+    def test_no_squeezing_is_the_zero_limit(self):
+        for cfg in self.configs(13, 0.999):
+            src = cfg.source
+            limit = fisher_limit_closed_form(src.epsilon, src.g1, src.g2, LIMIT_ZERO).entries
+            assert relative_gap(block_fisher(src.epsilon, src.g1, src.g2, 0.0), limit) <= 1e-15
+
+    def test_gap_to_the_infinite_limit_falls_as_one_over_n_bar(self):
+        n_bars = np.array([1e4, 1e6, 1e8, 1e10])
+        for cfg in self.configs(14, 0.999, per_n_bar=1):
+            src = cfg.source
+            limit = fisher_limit_closed_form(src.epsilon, src.g1, src.g2, LIMIT_INFINITY).entries
+            scaled = n_bars * [
+                relative_gap(block_fisher(src.epsilon, src.g1, src.g2, n), limit) for n in n_bars
+            ]
+            np.testing.assert_allclose(scaled, scaled[-1], rtol=1e-3)

@@ -10,6 +10,9 @@ import pytest
 from cvlbi.core import ValidationError
 from cvlbi.schemes import (
     CSV_HEADER,
+    DEFAULT_GRID_MAX,
+    DEFAULT_GRID_MIN,
+    DEFAULT_GRID_POINTS,
     MODE_EXACT,
     MODE_LOWEST_ORDER,
     SMALL_EPS_RANKING,
@@ -18,11 +21,13 @@ from cvlbi.schemes import (
     cumulative_curves,
     curves_from_csv,
     curves_to_csv,
-    default_eps_grid,
     ordering_report,
     pairwise_crossings,
     single_shot_bound,
 )
+
+#: the grid ``cvlbi compare`` runs on by default
+DEFAULT_GRID = np.geomspace(DEFAULT_GRID_MIN, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS)
 
 
 class TestRateFactor:
@@ -30,7 +35,7 @@ class TestRateFactor:
 
     @pytest.mark.parametrize("delta_nu", [1.0, 2.5, 1e300])
     def test_every_point_is_delta_nu_times_single_shot_bound(self, delta_nu):
-        grid = np.unique(np.concatenate([default_eps_grid(), np.geomspace(1e-12, 1.0, 1001)]))
+        grid = np.unique(np.concatenate([DEFAULT_GRID, np.geomspace(1e-12, 1.0, 1001)]))
         for curve in cumulative_curves(grid, delta_nu):
             expected = [delta_nu * single_shot_bound(curve.scheme, e) for e in grid.tolist()]
             assert curve.bounds.tolist() == expected
@@ -145,9 +150,9 @@ class TestCumulativeCurves:
             assert np.all(curve.bounds > 0.0) and curve.bounds[0] < 1e-9
 
     def test_default_grid_shape(self):
-        grid = default_eps_grid()
-        assert len(grid) == 200 and grid[0] == 1e-4 and grid[-1] == 1.0
-        curves = cumulative_curves(grid)
+        assert (DEFAULT_GRID_MIN, DEFAULT_GRID_MAX, DEFAULT_GRID_POINTS) == (1e-4, 1.0, 200)
+        assert DEFAULT_GRID[0] == 1e-4 and DEFAULT_GRID[-1] == 1.0
+        curves = cumulative_curves(DEFAULT_GRID)
         assert len(curves) == 5 and all(len(c.points) == 200 for c in curves)
 
     @pytest.mark.parametrize("exact_cv", [False, True])
@@ -259,7 +264,7 @@ class TestOrderingReport:
 
 class TestCsvEmission:
     def test_header_and_shape(self):
-        text = curves_to_csv(cumulative_curves(default_eps_grid()))
+        text = curves_to_csv(cumulative_curves(DEFAULT_GRID))
         lines = text.splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 5 * 200
@@ -272,7 +277,7 @@ class TestCsvEmission:
         assert by_scheme["CV_INF"][2] == "0.02"
 
     def test_round_trip_byte_identical(self):
-        original = curves_to_csv(cumulative_curves(default_eps_grid(), delta_nu=2.5))
+        original = curves_to_csv(cumulative_curves(DEFAULT_GRID, delta_nu=2.5))
         reparsed = curves_to_csv(curves_from_csv(original))
         assert reparsed == original
 
