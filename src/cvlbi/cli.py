@@ -4,7 +4,10 @@ Every subcommand is deterministic given its full flag set (seeds included) and
 writes JSON, or CSV under --format csv, to stdout or --output. Exit codes: 0 on
 success, 2 on validation errors (the message names the offending field), 3 on
 numerical failures; ``main`` returns them, argparse's own errors included.
-``estimate`` warns on stderr when no fit left its starting point.
+``estimate`` warns on stderr when no fit left its starting point, and prints
+``warning: K of R fits stopped at the iteration cap (N iterations)`` but exits 0
+when fits are capped; it exits 3 when the root finder of a fit's slide along the
+unit circle runs out of its 100 iterations, or another numerical routine fails.
 
 argparse is the only parser. Each flag, with its default, is declared once, and
 each subcommand takes only the flags it reads (``_COMMANDS``).
@@ -178,31 +181,18 @@ def cmd_fisher(args: argparse.Namespace) -> str:
     _check_sampling(args.samples, args.seed)
     icfg = _interferometer_config(args)
     analytic = fisher_analytic(icfg)
-    limit_zero = fisher_limit_closed_form(args.epsilon, args.g1, args.g2, LIMIT_ZERO)
-    limit_inf = fisher_limit_closed_form(args.epsilon, args.g1, args.g2, LIMIT_INFINITY)
-
-    def gap(limit) -> float:
-        return float(
-            np.max(np.abs(analytic.entries - limit.entries)) / np.max(np.abs(limit.entries))
-        )
-
     payload = {
         "parameters": {
             "epsilon": args.epsilon, "g1": args.g1, "g2": args.g2,
             "n_bar": args.n_bar, "theta": args.theta,
         },
         "analytic": {"entries": analytic.entries.tolist(), "trace_norm": analytic.trace_norm},
-        "limit_nbar_zero": {
-            "entries": limit_zero.entries.tolist(),
-            "trace_norm": limit_zero.trace_norm,
-            "rel_gap_to_analytic": gap(limit_zero),
-        },
-        "limit_nbar_infinity": {
-            "entries": limit_inf.entries.tolist(),
-            "trace_norm": limit_inf.trace_norm,
-            "rel_gap_to_analytic": gap(limit_inf),
-        },
     }
+    for key, which in (("limit_nbar_zero", LIMIT_ZERO), ("limit_nbar_infinity", LIMIT_INFINITY)):
+        limit = fisher_limit_closed_form(args.epsilon, args.g1, args.g2, which)
+        gap = np.max(np.abs(analytic.entries - limit.entries)) / np.max(np.abs(limit.entries))
+        payload[key] = {"entries": limit.entries.tolist(), "trace_norm": limit.trace_norm,
+                        "rel_gap_to_analytic": float(gap)}
     if args.mc:
         mc = fisher_monte_carlo(icfg, args.samples, args.seed)
         payload["monte_carlo"] = {
@@ -214,11 +204,8 @@ def cmd_fisher(args: argparse.Namespace) -> str:
             "seed": mc.seed,
         }
     if args.format == "csv":
-        blocks = [("analytic", payload["analytic"]["entries"]),
-                  ("limit_nbar_zero", payload["limit_nbar_zero"]["entries"]),
-                  ("limit_nbar_infinity", payload["limit_nbar_infinity"]["entries"])]
+        blocks = [(name, payload[name]["entries"]) for name in list(payload)[1:]]
         if args.mc:
-            blocks.append(("monte_carlo", payload["monte_carlo"]["entries"]))
             blocks.append(("monte_carlo_se", payload["monte_carlo"]["standard_error"]))
         rows = ((name, i, j, block[i][j]) for name, block in blocks for i, j in np.ndindex(2, 2))
         return csv_dumps(("quantity", "i", "j", "value"), rows)
@@ -259,6 +246,10 @@ def cmd_compare(args: argparse.Namespace) -> str:
 def cmd_estimate(args: argparse.Namespace) -> str:
     icfg = _interferometer_config(args)
     result = crb_experiment(icfg, args.shots, args.replications, args.seed)
+    capped = [fit.iterations for fit in result.fits if fit.reason == "capped"]
+    if capped:
+        print(f"warning: {len(capped)} of {len(result.fits)} fits stopped at the iteration "
+              f"cap ({capped[0]} iterations)", file=sys.stderr)
     if all(fit.iterations == 0 for fit in result.fits):
         print(
             "warning: every fit stopped at 0 iterations; the estimates are the "

@@ -53,11 +53,7 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """Iteration budget exhausted; carries the best iterate found so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """A root finder ran out of iterations; a capped MLE fit is a result, not this error."""
 
 
 def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:

@@ -179,20 +179,16 @@ def fisher_monte_carlo(
         np.square(s, out=s)
         gram_sq += s @ s.T
 
-    prod_sum = gram[[0, 0, 1], [0, 1, 1]]
-    prod_sumsq = gram_sq[[0, 0, 1], [0, 1, 1]]
+    # S S^T is exactly symmetric, so the 2x2 statistics need no gather
     n = float(samples)
-    mean = prod_sum / n
-    var = np.maximum(prod_sumsq / n - mean * mean, 0.0) * n / (n - 1.0)
-    se = np.sqrt(var / n)
+    mean = gram / n
+    se = np.sqrt(np.maximum(gram_sq / n - mean * mean, 0.0) * n / (n - 1.0) / n)
     s_mean = score_sum / n
-    s_var = np.maximum(prod_sum[::2] / n - s_mean * s_mean, 0.0) * n / (n - 1.0)
+    s_var = np.maximum(np.diag(mean) - s_mean * s_mean, 0.0) * n / (n - 1.0)
 
-    entries = np.array([[mean[0], mean[1]], [mean[1], mean[2]]])
-    se_matrix = np.array([[se[0], se[1]], [se[1], se[2]]])
     return MonteCarloFisher(
-        fisher=FisherMatrix(entries),
-        standard_error=se_matrix,
+        fisher=FisherMatrix(mean),
+        standard_error=se,
         score_mean=s_mean,
         score_se=np.sqrt(s_var / n),
         samples=samples,

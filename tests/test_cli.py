@@ -242,7 +242,7 @@ class TestEstimateCommand:
     def test_too_few_replications_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--replications", "10")
         assert code == 2
-        assert "replications must be >= 30" in err
+        assert "replications must be in [30, 100000]" in err
 
     def test_csv_format_rejected(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--format", "csv", "--replications", "30")
@@ -344,15 +344,32 @@ class TestExitCodes:
         assert code == 3
         assert "singular" in err
 
-    def test_convergence_failure_exits_3(self, capsys, monkeypatch):
+    def test_capped_fits_warn_and_exit_0(self, capsys, monkeypatch):
         import cvlbi.estimate as estimate_module
 
         monkeypatch.setattr(estimate_module, "MAX_ITERATIONS", 1)
         code, out, err = run_cli(
             capsys, "estimate", "--g1", "0.3", "--shots", "1000", "--replications", "30"
         )
+        assert code == 0
+        assert json.loads(out)["replications"] == 30
+        assert "warning: 30 of 30 fits stopped at the iteration cap (1 iterations)\n" in err
+
+    def test_root_finder_failure_exits_3(self, capsys, monkeypatch):
+        import cvlbi.estimate as estimate_module
+        from cvlbi.core import ConvergenceError
+
+        def failing(f, xa, xb, xtol):
+            yield from f(xa)
+            raise ConvergenceError("root finder did not converge in 100 iterations")
+
+        monkeypatch.setattr(estimate_module, "_brentq", failing)
+        code, out, err = run_cli(
+            capsys, "estimate", "--epsilon", "0.05", "--g1", "0.9", "--g2", "0.3",
+            "--n-bar", "3", "--theta", "1", "--shots", "500", "--replications", "30",
+        )
         assert code == 3 and out == ""
-        assert err.startswith("numerical failure: MLE did not converge")
+        assert err == "numerical failure: root finder did not converge in 100 iterations\n"
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"

@@ -20,12 +20,13 @@ from oracles import (
 )
 
 import cvlbi.estimate as estimate_module
-from cvlbi.core import DRAW_CHUNK, ConvergenceError, NumericalError, ValidationError
+from cvlbi.core import DRAW_CHUNK, NumericalError, ValidationError
 from cvlbi.estimate import (
     GRADIENT_TOL,
     LOG_2PI,
     MAX_REPLICATIONS,
     MAX_SHOTS,
+    MIN_REPLICATIONS,
     MeasurementRecord,
     _MAX_SAMPLING_THREADS,
     _draw_outcomes,
@@ -104,7 +105,7 @@ def projected_bfgs(x0):
     polish are yielded the same way. Stops when the projected-gradient
     displacement ||x - proj(x - grad)|| is at most GRADIENT_TOL, when no halved
     step down to 1e-20 descends, or when the polish of an iterate pinned on the
-    circle leaves it unchanged; raises ConvergenceError after MAX_ITERATIONS.
+    circle leaves it unchanged; ends "capped" after MAX_ITERATIONS.
     """
     x = project_disk(np.asarray(x0, dtype=float))
     f, grad = yield x
@@ -143,11 +144,7 @@ def projected_bfgs(x0):
             h = left @ h @ left.T + rho * np.outer(s, s)
         x, f, grad = x_new, f_new, grad_new
     pg_norm = float(np.linalg.norm(x - project_disk(x - grad)))
-    raise ConvergenceError(
-        f"MLE did not converge in {estimate_module.MAX_ITERATIONS} iterations "
-        f"(projected gradient norm {pg_norm:.3e})",
-        best=(float(x[0]), float(x[1])),
-    )
+    return x, f, pg_norm, estimate_module.MAX_ITERATIONS, "capped"
 
 
 def moment_start(s, eps):
@@ -388,23 +385,23 @@ class TestMle:
         assert math.hypot(g1 - 0.3, g2 - 0.1) <= 0.05
 
     def test_exhausted_iteration_budget_carries_best_iterate(self, monkeypatch):
+        # a capped fit is returned as it stands, at the iterate the cap left it on
         monkeypatch.setattr(estimate_module, "MAX_ITERATIONS", 1)
-        record = sample_records(CFG_COHERENT, 5000, seed=13)
-        with pytest.raises(ConvergenceError) as excinfo:
-            mle(record)
-        best = excinfo.value.best
-        assert best is not None and math.hypot(*best) <= 1.0 + 1e-12
+        result = mle(sample_records(CFG_COHERENT, 5000, seed=13))
+        assert (result.reason, result.iterations) == ("capped", 1)
+        assert math.hypot(result.g1, result.g2) <= 1.0 + 1e-12
 
 
-@pytest.mark.xfail(
-    raises=ConvergenceError, strict=True,
-    reason="ROADMAP items 3 and 6: the stop rule of projected BFGS, and one failed fit ends the run",
-)
 @pytest.mark.parametrize("shots, seed", [(2, 3), (5, 35), (5, 40), (5, 42)])
-def test_tiny_records_at_the_cli_defaults_finish(shots, seed):
-    # with MAX_ITERATIONS lifted, the failing replications' fits end on the circle after
-    # 595, 967 and 675 iterations; at seed 42 the start that fails is the one that loses
-    crb_experiment(CFG, shots, 30, seed)
+def test_tiny_records_at_the_cli_defaults_finish(monkeypatch, shots, seed):
+    # in each of these runs one start of one replication hits MAX_ITERATIONS, and it
+    # loses to the other start: no reported fit is capped, and a lifted cap moves none
+    fits = crb_experiment(CFG, shots, 30, seed).fits
+    assert all(fit.reason != "capped" for fit in fits)
+    monkeypatch.setattr(estimate_module, "MAX_ITERATIONS", 2000)
+    for fit, lifted in zip(fits, crb_experiment(CFG, shots, 30, seed).fits):
+        assert math.hypot(fit.g1 - lifted.g1, fit.g2 - lifted.g2) <= 1e-12
+        assert fit.log_likelihood == pytest.approx(lifted.log_likelihood, rel=1e-12, abs=0.0)
 
 
 class TestBoundaryRootFinder:
@@ -462,7 +459,7 @@ class TestCrbExperiment:
         "shots, replications, message",
         [
             (10**12, 100, rf"shots must be in \[1, {MAX_SHOTS}\]"),
-            (100, 10**12, f"replications must be <= {MAX_REPLICATIONS}"),
+            (100, 10**12, rf"replications must be in \[{MIN_REPLICATIONS}, {MAX_REPLICATIONS}\]"),
         ],
     )
     def test_absurd_sizes_rejected_before_sampling(self, shots, replications, message):
@@ -583,22 +580,19 @@ class TestLockstepFits:
         stopped = [f for f in result.fits if f.reason == "boundary"]
         assert stopped and all(f.on_boundary and f.gradient_norm > GRADIENT_TOL for f in stopped)
 
-    # at 3 iterations a later start fails in fewer rounds than the first failing
-    # one on the boundary case; at 13 the first failing replication is a later one
+    # a capped start ends as a plateau does, in lockstep and in the plain loops alike;
+    # at caps 3 and 13 most cases report capped fits beside finished ones
     @pytest.mark.parametrize("max_iterations", [1, 3, 13])
     @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
     def test_convergence_error_is_the_record_by_record_loops(self, monkeypatch, case, max_iterations):
         cfg, shots, replications = LOCKSTEP_CASES[case]
         monkeypatch.setattr(estimate_module, "MAX_ITERATIONS", max_iterations)
-
-        def raised(call):
-            with pytest.raises(ConvergenceError) as excinfo:
-                call()
-            return str(excinfo.value), excinfo.value.best
-
-        expected = raised(lambda: record_by_record(sequential_mle, cfg, shots, replications, 0))
-        assert raised(lambda: record_by_record(mle, cfg, shots, replications, 0)) == expected
-        assert raised(lambda: crb_experiment(cfg, shots, replications, seed=0)) == expected
+        result = crb_experiment(cfg, shots, replications, seed=0)
+        fits = [fit_fields(f) for f in result.fits]
+        assert fits == [fit_fields(f) for f in record_by_record(mle, cfg, shots, replications, 0)]
+        assert fits == record_by_record(sequential_mle, cfg, shots, replications, 0)
+        if max_iterations == 1:
+            assert any(f.reason == "capped" for f in result.fits)
 
     def test_peak_memory_does_not_hold_every_record(self):
         # one 10k-shot record is 320 KB; keeping all 100 would take 32 MB
