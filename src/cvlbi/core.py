@@ -38,7 +38,7 @@ ORDERING_CACHE_SIZE = 64
 
 #: rows of standard normals every sampler draws at a time (512 KB); a record's bits do not
 #: depend on it, a Monte Carlo Fisher sum's last bits do. At 2^14 a Monte Carlo chunk's
-#: buffers (normals, U Z and scores: 1.8 MB) stay in a 2 MB L2 cache.
+#: working set (normals, U Z and scores: 1.8 MB) stays in a 2 MB L2 cache.
 DRAW_CHUNK = 1 << 14
 
 QUADRATURES = ("x", "p")

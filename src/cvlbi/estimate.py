@@ -164,30 +164,28 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     if not spawned:
         _check_integer("seed", seed, 0)
     chol = np.linalg.cholesky(cfg.measured_covariance)
-    out, z = np.empty((shots, 4)), np.empty((min(shots, DRAW_CHUNK + 1), 4))
-    _draw_outcomes(chol, seed, out, z)
+    out = _draw_outcomes(chol, seed, np.empty((shots, 4)))
     return MeasurementRecord(outcomes=out, seed=-1 if spawned else int(seed), config=cfg)
 
 
-def _draw_outcomes(chol: np.ndarray, seed, out: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _draw_outcomes(chol: np.ndarray, seed, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (shots x 4) with the outcomes drawn from ``seed`` and return it:
-    rows chol @ w for standard normals w, drawn into ``z`` DRAW_CHUNK rows at a time.
-    A lone last row joins the chunk before it (``z`` holds DRAW_CHUNK + 1 rows), as
-    numpy multiplies one row by another kernel: a record then has the bits of one
-    product over all its rows, whatever the chunk length."""
+    rows chol @ w for standard normals w, drawn DRAW_CHUNK rows at a time. A lone
+    last row joins the chunk before it, as numpy multiplies one row by another
+    kernel: a record then has the bits of one product over all its rows, whatever
+    the chunk length."""
     rng = np.random.default_rng(seed)
     ends = [*range(DRAW_CHUNK, len(out) - 1, DRAW_CHUNK), len(out)]
     for start, end in zip([0, *ends], ends):
-        rng.standard_normal(out=z[: end - start])
-        np.matmul(z[: end - start], chol.T, out=out[start:end])
+        np.matmul(rng.standard_normal((end - start, 4)), chol.T, out=out[start:end])
     return out
 
 
 def _sampling_workers(shots: int, replications: int) -> int:
     """Threads that draw a CRB experiment's records: at most one per usable CPU and
     per replication, at most _MAX_SAMPLING_THREADS, and few enough that their
-    outcome buffers together hold at most MAX_SHOTS rows (each thread's normals add
-    at most DRAW_CHUNK + 1 rows, 512 KB)."""
+    outcome buffers together hold at most MAX_SHOTS rows (each thread's chunk of
+    normals adds at most DRAW_CHUNK + 1 rows, 512 KB)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(cpus or 1, replications, _MAX_SAMPLING_THREADS, max(1, MAX_SHOTS // shots))
 
@@ -196,7 +194,7 @@ def _second_moments(chol: np.ndarray, shots: int, seeds) -> np.ndarray:
     """The second moment of each seed's record (len(seeds) x 4 x 4), drawn in parallel.
 
     A pool of _sampling_workers threads draws the seeds in as many contiguous
-    blocks, each block's records into one pair of reused buffers (a new pair per
+    blocks, each block's records into one reused outcome buffer (a new one per
     record raised the peak RSS); numpy's draws and BLAS products release the GIL.
     Row j has the bits of seed j's ``sample_records(...).second_moment``, and the
     lowest failing seed's exception is raised after every thread has ended. No
@@ -210,8 +208,8 @@ def _second_moments(chol: np.ndarray, shots: int, seeds) -> np.ndarray:
 
     def draw_block(block: int) -> list:
         lo, hi = len(seeds) * block // workers, len(seeds) * (block + 1) // workers
-        out, z = np.empty((shots, 4)), np.empty((min(shots, DRAW_CHUNK + 1), 4))
-        return [_second_moment(_draw_outcomes(chol, seed, out, z)) for seed in seeds[lo:hi]]
+        out = np.empty((shots, 4))
+        return [_second_moment(_draw_outcomes(chol, seed, out)) for seed in seeds[lo:hi]]
 
     with ThreadPoolExecutor(workers) as pool:
         return np.stack([m for block in pool.map(draw_block, range(workers)) for m in block])
@@ -347,14 +345,13 @@ def _boundary_polish(x: np.ndarray, f: float, grad: np.ndarray):
     if d0 == 0.0:
         return x, f, grad
     width = 1e-3
-    other = phi
-    while width <= math.pi:
+    while True:  # the descent side of phi holds a sign change within pi
         other = phi - math.copysign(width, d0)
         if (yield from tangential(other)) * d0 < 0.0:
             break
-        width *= 2.0
-    else:
-        return x, f, grad
+        if width == math.pi:
+            return x, f, grad
+        width = min(2.0 * width, math.pi)
     root = yield from _brentq(tangential, min(phi, other), max(phi, other), xtol=1e-15)
     point, f_new, grad_new = cache[root]  # Brent's method returns a point it evaluated
     if f_new <= f:

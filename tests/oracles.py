@@ -10,7 +10,9 @@
   ``fisher_decimal`` evaluates the trace identity in 50-digit arithmetic;
 * ``linear_estimate`` and ``linear_estimate_covariance``: an estimator of g whose
   mean and covariance are exact at every shot count, against which sampled records
-  are checked.
+  are checked;
+* ``circle_maximum``: the likelihood maximum on the unit circle in closed form,
+  against which the MLE's boundary polish is checked.
 """
 
 import math
@@ -195,3 +197,16 @@ def linear_estimate_covariance(model: MeasuredModel, g, shots: int) -> np.ndarra
     av = a @ model.covariance(*g)
     f0_inv = np.linalg.inv(f0)
     return f0_inv @ (2.0 * np.einsum("kij,lji->kl", av, av)) @ f0_inv / shots
+
+
+def circle_maximum(model: MeasuredModel, s: np.ndarray) -> np.ndarray:
+    """The point g* of the unit circle where second moment S has its greatest likelihood.
+
+    On |g| = 1 the eigenvalues of V_r(g) do not depend on g, so log det V_r is constant
+    there and V_r(g)^-1 = A + g1 M_1 + g2 M_2 is affine in g, with
+    M_k = (V_r(e_k)^-1 - V_r(-e_k)^-1) / 2. The per-shot negative log-likelihood on the
+    circle is then c_0 + c.g / 2 with c_k = tr(M_k S), least at g* = -c / |c|.
+    """
+    m = [np.linalg.inv(model.covariance(*e)) - np.linalg.inv(model.covariance(*-e)) for e in np.eye(2)]
+    c = np.array([np.trace(mk @ s) for mk in m]) / 2.0
+    return -c / np.linalg.norm(c)

@@ -14,6 +14,7 @@ from oracles import (
     TAU,
     block_basis,
     block_betas,
+    circle_maximum,
     gaussian_log_pdf,
     linear_estimate,
     linear_estimate_covariance,
@@ -216,10 +217,10 @@ class TestSampling:
         # paths has the bits of one product over all rows, whatever DRAW_CHUNK is
         children = np.random.SeedSequence(4).spawn(count)
         chol = np.linalg.cholesky(CFG_COHERENT.model.covariance(0.3, 0.1))
-        # one pair of buffers for every child, as one block of crb_experiment's draws
-        out, z = np.empty((shots, 4)), np.empty((min(shots, DRAW_CHUNK + 1), 4))
+        # one outcome buffer for every child, as one block of crb_experiment's draws
+        out = np.empty((shots, 4))
         for child in children:
-            moment = _second_moment(_draw_outcomes(chol, child, out, z))
+            moment = _second_moment(_draw_outcomes(chol, child, out))
             record = sample_records(CFG_COHERENT, shots, child)
             assert np.array_equal(moment, record.second_moment)
             normals = np.random.default_rng(child).standard_normal((shots, 4))
@@ -431,6 +432,53 @@ class TestBoundaryRootFinder:
 
         with pytest.raises(ValidationError):
             drive(_brentq(yielded, -1.0, 1.0, xtol=1e-15), lambda x: x * x + 1.0)
+
+
+def circle_distance(g, h):
+    """Angle in radians between the directions of g and h."""
+    return abs(math.atan2(g[0] * h[1] - g[1] * h[0], g[0] * h[0] + g[1] * h[1]))
+
+
+class TestBoundaryPolish:
+    def test_lands_on_the_circle_maximum(self):
+        # one-shot moments, whose likelihood often peaks outside the disk; every fourth
+        # start lies within 2.1 rad of g*, the others 2.1-3.1 rad from it, beyond the
+        # widest bracket that doubling from 1e-3 reaches below pi
+        rng = np.random.default_rng(23)
+        landed = {"near": 0, "far": 0}
+        for draw in range(800):
+            eps, n_bar = 10.0 ** rng.uniform(-3.0, 0.0), 10.0 ** rng.uniform(-3.0, 3.0)
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            model = InterferometerConfig.from_values(eps, 0.0, 0.0, n_bar=n_bar, theta=theta).model
+            x = np.linalg.cholesky(model.v0) @ rng.standard_normal(4)
+            s = np.outer(x, x)
+            target = circle_maximum(model, s)
+            far = draw % 4 != 0
+            offset = rng.uniform(2.1, 3.1) if far else rng.uniform(0.0, 2.1)
+            phi = math.atan2(target[1], target[0]) + rng.choice((-1.0, 1.0)) * offset
+            start = np.array([math.cos(phi), math.sin(phi)])
+            f, grad = one_matrix_nll_and_grad(model, s, start)
+            if grad @ start > 0.0:
+                continue  # not pinned: the MLE takes a projected step instead
+            polish = estimate_module._boundary_polish(start, f, grad)
+            point, _, _ = drive(polish, lambda g: one_matrix_nll_and_grad(model, s, g))
+            assert circle_distance(point, target) <= 1e-8
+            landed["far" if far else "near"] += 1
+        assert landed["near"] >= 100 and landed["far"] >= 15
+
+    def test_fit_beyond_the_doubled_brackets_reaches_the_circle_maximum(self):
+        # this fit is pinned at (0.0170, -0.99986), 2.93 rad from the circle's maximum:
+        # beyond 2.048 rad, the widest bracket that doubling from 1e-3 reaches below pi
+        cfg = InterferometerConfig.from_values(
+            0.01366620997099527, -0.2590284478104862, 0.03232744163398993,
+            n_bar=52.446189775552476, theta=4.299153919660139,
+        )
+        fit = crb_experiment(cfg, shots=1, replications=30, seed=45).fits[2]
+        child = np.random.SeedSequence(45).spawn(30)[2]
+        target = circle_maximum(cfg.model, sample_records(cfg, 1, child).second_moment)
+        assert fit.reason == "converged" and fit.on_boundary
+        assert circle_distance(fit.g, target) <= 1e-9
+        assert fit.log_likelihood > -8.054233393108388
 
 
 class TestCrbExperiment:
@@ -678,10 +726,10 @@ class TestParallelSampling:
         draw, drawn = _draw_outcomes, itertools.count()
         barrier = threading.Barrier(workers, timeout=30)
 
-        def draw_together(chol, seed, out, z):
+        def draw_together(chol, seed, out):
             if next(drawn) < workers:
                 barrier.wait()
-            return draw(chol, seed, out, z)
+            return draw(chol, seed, out)
 
         monkeypatch.setattr(estimate_module, "_draw_outcomes", draw_together)
         chol = np.linalg.cholesky(CFG_COHERENT.model.covariance(0.3, 0.1))
@@ -712,7 +760,7 @@ class TestParallelSampling:
         # seeds 4 and 20 both fail, seed 4 after seed 20 has; seed 4's error is raised
         later = threading.Event()
 
-        def failing(chol, seed, out, z):
+        def failing(chol, seed, out):
             replication = seed.spawn_key[-1]
             if replication == 20:
                 later.set()
@@ -720,7 +768,7 @@ class TestParallelSampling:
             if replication == 4:
                 later.wait(timeout=30)
                 raise RuntimeError("seed 4")
-            return _draw_outcomes(chol, seed, out, z)
+            return _draw_outcomes(chol, seed, out)
 
         use_workers(monkeypatch, 3)
         monkeypatch.setattr(estimate_module, "_draw_outcomes", failing)
