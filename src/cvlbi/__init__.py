@@ -56,7 +56,6 @@ from .schemes import (
     cumulative_curves,
     curves_to_csv,
     ordering_report,
-    single_shot_bound,
 )
 from .states import (
     SourceParams,
@@ -109,7 +108,6 @@ __all__ = [
     "reduced_covariance_closed",
     "sample_records",
     "score_vectors",
-    "single_shot_bound",
     "symplectic_form",
     "tmsv_covariance_closed",
     "tmsv_covariance_exponential",

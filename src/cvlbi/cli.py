@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .core import NumericalError, ValidationError
+from .core import NumericalError, ValidationError, _check_integer
 from .estimate import MIN_REPLICATIONS, crb_experiment
 from .fisher import (
     LIMIT_INFINITY,
@@ -215,8 +215,7 @@ def cmd_fisher(args: argparse.Namespace) -> str:
 def _eps_grid(args: argparse.Namespace) -> np.ndarray:
     if not (0.0 < args.eps_min < args.eps_max <= 1.0):
         raise ValidationError("eps grid must satisfy 0 < eps_min < eps_max <= 1")
-    if not 2 <= args.eps_points <= MAX_EPS_POINTS:
-        raise ValidationError(f"eps_points must be in [2, {MAX_EPS_POINTS}]")
+    _check_integer("eps_points", args.eps_points, 2, MAX_EPS_POINTS)
     return np.geomspace(args.eps_min, args.eps_max, args.eps_points)
 
 

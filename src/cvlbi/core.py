@@ -348,7 +348,7 @@ def reduce(v: CovarianceMatrix, keep) -> CovarianceMatrix:
     return CovarianceMatrix._derived(ordering, v.entries[index])
 
 
-def _check_positive_definite(entries: np.ndarray, what: str) -> np.ndarray:
+def _check_positive_definite(entries: np.ndarray, what: str) -> None:
     eigs = np.linalg.eigvalsh(entries)
     low, high = float(eigs[0]), float(eigs[-1])
     # eigenvalues are resolved only to about dim * machine epsilon * the largest one
@@ -358,7 +358,6 @@ def _check_positive_definite(entries: np.ndarray, what: str) -> np.ndarray:
     if low <= 0.0 or high / low > CONDITION_LIMIT:
         condition = high / low if low > 0.0 else math.inf
         raise NumericalError(f"{what} is numerically singular (condition number {condition:.3e})")
-    return eigs
 
 
 def check_physicality(v: CovarianceMatrix) -> PhysicalityReport:

@@ -18,7 +18,9 @@ The DD, LOCAL, and GJC12 values are imported constants from the published
 single-photon analyses; they are not re-derived here. Only CV_INF and CV_0 have
 exact values: the finite-eps trace norms of the closed-form limit matrices, which
 "exact" mode puts in place of their lowest-order bounds to quantify the
-truncation. No curve of another scheme can be tagged "exact".
+truncation. No curve of another scheme can be tagged "exact". Above eps = sqrt(3) - 1
+the lowest-order CV_INF value exceeds the source's quantum Fisher trace, 4 eps / (2 + eps)
+at g = 0, which no measurement can reach.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class SchemeCurve:
     mode: str = MODE_LOWEST_ORDER
 
     def __post_init__(self):
-        _check_scheme(self.scheme)
+        if not isinstance(self.scheme, SchemeId):
+            raise ValidationError(f"unknown scheme {self.scheme!r}; expected a SchemeId member")
         _validate_grid([p[0] for p in self.points], "curve epsilons")
         bounds = np.array([p[1] for p in self.points], dtype=float)
         if not (np.all(np.isfinite(bounds)) and np.all(bounds >= 0.0)):
@@ -108,25 +111,6 @@ def _rate(delta_nu: float) -> float:
     return float(delta_nu)
 
 
-def _check_scheme(scheme) -> None:
-    if not isinstance(scheme, SchemeId):
-        raise ValidationError(f"unknown scheme {scheme!r}; expected a SchemeId member")
-
-
-def single_shot_bound(scheme: SchemeId, eps: float) -> float:
-    """Lowest-order single-shot trace-norm bound for one scheme.
-
-    The values are leading terms in eps. Above eps = sqrt(3) - 1 the CV_INF value
-    2 eps^2 exceeds the trace of the source's quantum Fisher information, 4 eps / (2 + eps)
-    at g = 0, which no measurement can reach.
-    """
-    _check_scheme(scheme)
-    if not (math.isfinite(eps) and 0.0 < eps <= 1.0):
-        raise ValidationError("eps must be in (0, 1]")
-    coeff, power = _BOUND_COEFF_POWER[scheme]
-    return coeff * eps**power
-
-
 def _validate_grid(eps_grid, what: str = "eps grid") -> np.ndarray:
     grid = np.asarray(eps_grid, dtype=float)
     if grid.ndim != 1:
@@ -140,7 +124,7 @@ def _validate_grid(eps_grid, what: str = "eps grid") -> np.ndarray:
 def _bound_table(grid: np.ndarray, rate: float) -> np.ndarray:
     """Cumulative lowest-order bounds, one row per scheme in ``SchemeId`` order.
 
-    ``float_power`` rounds eps^2 as ``single_shot_bound`` does; ``grid**2`` may not.
+    ``float_power`` rounds eps^2 as a Python float's ``eps**2`` does; ``grid**2`` may not.
     """
     rows = map(_BOUND_COEFF_POWER.get, SchemeId)
     return np.array([rate * (coeff * np.float_power(grid, power)) for coeff, power in rows])

@@ -12,7 +12,11 @@
   mean and covariance are exact at every shot count, against which sampled records
   are checked;
 * ``circle_maximum``: the likelihood maximum on the unit circle in closed form,
-  against which the MLE's boundary polish is checked.
+  against which the MLE's boundary polish is checked;
+* ``published_bound``: the five schemes' lowest-order bounds, typed from the
+  published analyses, against which the ``compare`` table is checked;
+* ``heterodyne_fisher``: the Fisher information of heterodyne detection at each site,
+  against which ``fisher_analytic`` with a vacuum resource and the LOCAL bound are checked.
 """
 
 import math
@@ -34,6 +38,7 @@ from cvlbi.interferometer import (
     MeasuredModel,
     abbreviations,
 )
+from cvlbi.states import SourceParams, astronomical_covariance
 
 
 def vacuum_covariance(*modes: str) -> CovarianceMatrix:
@@ -210,3 +215,34 @@ def circle_maximum(model: MeasuredModel, s: np.ndarray) -> np.ndarray:
     m = [np.linalg.inv(model.covariance(*e)) - np.linalg.inv(model.covariance(*-e)) for e in np.eye(2)]
     c = np.array([np.trace(mk @ s) for mk in m]) / 2.0
     return -c / np.linalg.norm(c)
+
+
+#: the lowest-order single-shot trace-norm bounds as published, (coefficient, power of eps)
+PUBLISHED_BOUNDS = {
+    "CV_INF": (2.0, 2),  # 2 eps^2
+    "CV_0": (1.0, 2),  # eps^2
+    "DD": (1.0, 1),  # eps
+    "LOCAL": (1.0, 2),  # eps^2
+    "GJC12": (0.5, 1),  # eps / 2
+}
+
+
+def published_bound(scheme: str, eps: float) -> float:
+    """The published bound of the scheme named ``scheme`` at eps: coeff * eps**power."""
+    coeff, power = PUBLISHED_BOUNDS[scheme]
+    return coeff * eps**power
+
+
+def heterodyne_fisher(eps: float, g1: float, g2: float) -> np.ndarray:
+    """Fisher information in (g1, g2) of heterodyne detection of the source at each site.
+
+    The outcomes are zero-mean Gaussian with covariance S = (V_src(g) + I) / 2, so the
+    trace identity gives F_kl = tr(S^-1 dS_k S^-1 dS_l) / 2. V_src is linear in g, and
+    dS_k = (V_src(e_k) - V_src(0)) / 2 is exact.
+    """
+    def v_src(h1, h2):
+        return astronomical_covariance(SourceParams(eps, h1, h2)).entries
+
+    s_inv = np.linalg.inv((v_src(g1, g2) + np.eye(4)) / 2.0)
+    ds = [(v_src(*e) - v_src(0.0, 0.0)) / 2.0 for e in np.eye(2)]
+    return np.array([[np.trace(s_inv @ dk @ s_inv @ dl) / 2.0 for dl in ds] for dk in ds])

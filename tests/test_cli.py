@@ -320,12 +320,21 @@ class TestRoundTrips:
         assert json_dumps(json.loads(text)) == text
 
     @pytest.mark.parametrize(
-        "argv", [["state"], ["fisher", "--mc", "--samples", "2000"]], ids=["state", "fisher-mc"]
+        "argv",
+        [
+            ["state"],
+            ["fisher", "--mc", "--samples", "2000"],
+            ["compare"],
+            ["compare", "--exact-cv", "--g1", "0.3"],
+        ],
+        ids=["state", "fisher-mc", "compare", "compare-exact"],
     )
     def test_csv_floats_reformat_to_themselves(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0, err
-        values = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+        header, *rows = (line.split(",") for line in out.splitlines())
+        columns = [i for i, name in enumerate(header) if name in ("epsilon", "bound", "value")]
+        values = [row[i] for row in rows for i in columns]
         assert values and [format_float(float(v), CSV_FLOAT_DIGITS) for v in values] == values
 
     def test_csv_reemission_byte_identical(self, tmp_path):

@@ -1,5 +1,8 @@
 """Tests for the Fisher-information routes and their cross-validation."""
 
+import contextlib
+import io
+import json
 import math
 import re
 import tracemalloc
@@ -8,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import TAU, block_basis, block_betas, block_fisher, fisher_decimal
+from oracles import TAU, block_basis, block_betas, block_fisher, fisher_decimal, heterodyne_fisher
 
+from cvlbi.cli import main
 from cvlbi.core import DRAW_CHUNK, ValidationError, symplectic_form
 from cvlbi.fisher import (
     LIMIT_INFINITY,
@@ -29,7 +33,7 @@ from cvlbi.interferometer import (
     reduced_covariance,
     reduced_covariance_closed,
 )
-from cvlbi.schemes import SchemeId, single_shot_bound
+from cvlbi.schemes import SchemeId
 from cvlbi.states import SourceParams, TmsvParams, astronomical_covariance
 
 RNG_SEED = 91117
@@ -519,17 +523,40 @@ class TestQuantumFisherOracle:
 CV_INF_QFI_CROSSING = math.sqrt(3.0) - 1.0
 
 
+def compare_bounds(eps: float) -> dict:
+    """The lowest-order bound of each scheme at eps, by name, as ``cvlbi compare`` prints it."""
+    argv = ["compare", "--eps-min", repr(eps / 2.0), "--eps-max", repr(eps), "--eps-points", "2"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    curves = json.loads(out.getvalue())["curves"]
+    assert all(curve["points"][-1][0] == eps for curve in curves)
+    return {curve["scheme"]: curve["points"][-1][1] for curve in curves}
+
+
 class TestSchemeBoundsAgainstQfi:
     """The scheme comparison's single-shot traces stay below the source's quantum limit."""
 
     def test_trace_normalisations_match(self):
         # the CV bounds are small-eps traces of the homodyne Fisher matrix over (g1, g2),
-        # the coordinates of source_qfi, whose trace at g = 0 is 4 eps / (2 + eps) = 2 eps + ...
+        # the coordinates of source_qfi, whose trace at g = 0 is 4 eps / (2 + eps) = 2 eps + ...;
+        # LOCAL is taken to be heterodyne detection at each site, the same matrix as
+        # homodyne readout with a vacuum resource
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(300):
+            eps, mag = 10.0 ** rng.uniform(-4, 0), 0.99 * math.sqrt(rng.uniform())
+            phase, theta = rng.uniform(0, 2 * np.pi, size=2)
+            g1, g2 = mag * math.cos(phase), mag * math.sin(phase)
+            cfg = InterferometerConfig.from_values(eps, g1, g2, n_bar=0.0, theta=theta)
+            homodyne, heterodyne = fisher_analytic(cfg).entries, heterodyne_fisher(eps, g1, g2)
+            assert np.max(np.abs(heterodyne - homodyne)) <= 1e-14 * np.max(np.abs(homodyne))
         eps = 1e-6
+        bounds = compare_bounds(eps)
         for scheme, n_bar in ((SchemeId.CV_INF, 1e8), (SchemeId.CV_0, 0.0)):
             cfg = InterferometerConfig.from_values(eps, 0.0, 0.0, n_bar=n_bar)
             trace = np.trace(fisher_analytic(cfg).entries)
-            assert math.isclose(single_shot_bound(scheme, eps), trace, rel_tol=1e-5)
+            assert math.isclose(bounds[scheme.value], trace, rel_tol=1e-5)
+        trace = np.trace(heterodyne_fisher(eps, 0.0, 0.0))
+        assert math.isclose(bounds[SchemeId.LOCAL.value], trace, rel_tol=1e-5)
         for eps in (1e-6, 0.1, 1.0):
             qfi_trace = np.trace(source_qfi(eps, 0.0, 0.0))
             assert math.isclose(qfi_trace, 4.0 * eps / (2.0 + eps), rel_tol=1e-9)
@@ -546,15 +573,15 @@ class TestSchemeBoundsAgainstQfi:
         qfi_trace = np.trace(source_qfi(eps, g1, g2))
         for limit in (LIMIT_INFINITY, LIMIT_ZERO):
             assert fisher_limit_closed_form(eps, g1, g2, limit).trace_norm <= qfi_trace
-        for scheme in SchemeId:
-            if scheme is not SchemeId.CV_INF or eps <= CV_INF_QFI_CROSSING:
-                assert single_shot_bound(scheme, eps) <= qfi_trace
+        for scheme, bound in compare_bounds(eps).items():
+            if scheme != SchemeId.CV_INF.value or eps <= CV_INF_QFI_CROSSING:
+                assert bound <= qfi_trace
 
     def test_lowest_order_cv_inf_exceeds_qfi_above_the_crossing(self):
         # the default compare grid runs to eps = 1, where 2 eps^2 = 2 against tr QFI = 4/3
         for eps, over in ((0.7, False), (0.75, True), (1.0, True)):
             qfi_trace = np.trace(source_qfi(eps, 0.0, 0.0))
-            assert bool(single_shot_bound(SchemeId.CV_INF, eps) > qfi_trace) is over
+            assert bool(compare_bounds(eps)[SchemeId.CV_INF.value] > qfi_trace) is over
 
 
 #: draws of one weak-source config: eps log-uniform in [1e-4, 1], |g| <= 0.9, any theta

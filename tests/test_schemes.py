@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import published_bound
 
 from cvlbi.core import ValidationError
 from cvlbi.schemes import (
@@ -23,7 +24,6 @@ from cvlbi.schemes import (
     curves_to_csv,
     ordering_report,
     pairwise_crossings,
-    single_shot_bound,
 )
 
 #: the grid ``cvlbi compare`` runs on by default
@@ -37,11 +37,11 @@ class TestRateFactor:
     def test_every_point_is_delta_nu_times_single_shot_bound(self, delta_nu):
         grid = np.unique(np.concatenate([DEFAULT_GRID, np.geomspace(1e-12, 1.0, 1001)]))
         for curve in cumulative_curves(grid, delta_nu):
-            expected = [delta_nu * single_shot_bound(curve.scheme, e) for e in grid.tolist()]
+            expected = [delta_nu * published_bound(curve.scheme.value, e) for e in grid.tolist()]
             assert curve.bounds.tolist() == expected
         for entry in ordering_report(grid, delta_nu)["entries"]:
             ranked = [
-                {delta_nu * single_shot_bound(SchemeId(s), entry["epsilon"]) for s in group}
+                {delta_nu * published_bound(s, entry["epsilon"]) for s in group}
                 for group in entry["ranking"]
             ]
             assert all(len(values) == 1 for values in ranked)  # ties are equal values
@@ -53,7 +53,8 @@ class TestRateFactor:
         grid = [0.1, 0.5]
         for delta_nu in (1.0, 1e9):
             (curve,) = [c for c in cumulative_curves(grid, delta_nu) if c.scheme is scheme]
-            assert curve.bounds.tolist() == [delta_nu * single_shot_bound(scheme, e) for e in grid]
+            expected = [delta_nu * published_bound(scheme.value, e) for e in grid]
+            assert curve.bounds.tolist() == expected
             report = ordering_report(grid, delta_nu)
             assert report["delta_nu"] == delta_nu
             assert report["entries"] == ordering_report(grid, 1.0)["entries"]
@@ -96,13 +97,9 @@ class TestRateFactor:
             cumulative_curves([0.1], -1.0, g1=2.0)
 
 
-class TestUnknownScheme:
-    def test_single_shot_bound_names_scheme(self):
-        with pytest.raises(ValidationError, match="'DD'"):
-            single_shot_bound("DD", 0.1)
-
-
 class TestSingleShotBound:
+    """One eps's bounds, read from ``cumulative_curves([eps])``, against the published values."""
+
     @pytest.mark.parametrize(
         "scheme,eps,expected",
         [
@@ -114,19 +111,13 @@ class TestSingleShotBound:
         ],
     )
     def test_reference_values(self, scheme, eps, expected):
-        assert math.isclose(single_shot_bound(scheme, eps), expected, rel_tol=1e-15)
-
-    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5])
-    def test_out_of_range_rejected(self, eps):
-        with pytest.raises(ValidationError):
-            single_shot_bound(SchemeId.DD, eps)
+        (bound,) = [c.points[0][1] for c in cumulative_curves([eps]) if c.scheme is scheme]
+        assert bound == published_bound(scheme.value, eps)
+        assert math.isclose(bound, expected, rel_tol=1e-15)
 
     def test_cv_ratio_is_two_everywhere(self):
-        for eps in np.geomspace(1e-4, 1.0, 50):
-            ratio = single_shot_bound(SchemeId.CV_INF, eps) / single_shot_bound(
-                SchemeId.CV_0, eps
-            )
-            assert ratio == 2.0
+        bounds = {c.scheme: c.bounds for c in cumulative_curves(np.geomspace(1e-4, 1.0, 50))}
+        assert (bounds[SchemeId.CV_INF] / bounds[SchemeId.CV_0]).tolist() == [2.0] * 50
 
 
 class TestCumulativeCurves:
@@ -181,6 +172,8 @@ class TestCumulativeCurves:
             cumulative_curves([0.2, 0.1])
         with pytest.raises(ValidationError):
             cumulative_curves([0.0, 0.1])
+        with pytest.raises(ValidationError):
+            cumulative_curves([-0.1])
         with pytest.raises(ValidationError):
             cumulative_curves([0.5, 1.5])
 
