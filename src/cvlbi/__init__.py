@@ -10,7 +10,6 @@ Convention: vacuum covariance = identity, orderings xp-interleaved per mode.
 """
 
 from .core import (
-    ConvergenceError,
     CovarianceMatrix,
     NumericalError,
     PhysicalityReport,
@@ -68,7 +67,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "CovarianceMatrix",
     "EstimateResult",
     "FisherMatrix",

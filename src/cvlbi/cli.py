@@ -6,8 +6,8 @@ success, 2 on validation errors (the message names the offending field), 3 on
 numerical failures; ``main`` returns them, argparse's own errors included.
 ``estimate`` warns on stderr when no fit left its starting point, and prints
 ``warning: K of R fits stopped at the iteration cap (N iterations)`` but exits 0
-when fits are capped; it exits 3 when the root finder of a fit's slide along the
-unit circle runs out of its 100 iterations, or another numerical routine fails.
+when fits are capped; it exits 3 only when the measured covariance fails its
+check or a LAPACK routine fails.
 
 argparse is the only parser. Each flag, with its default, is declared once, and
 each subcommand takes only the flags it reads (``_COMMANDS``).

@@ -52,10 +52,6 @@ class NumericalError(RuntimeError):
     """A numerical routine could not produce a trustworthy result."""
 
 
-class ConvergenceError(NumericalError):
-    """A root finder ran out of iterations; a capped MLE fit is a result, not this error."""
-
-
 def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:
     """Reject a ``value`` that is not an integer in [low, high], naming it ``name``.
 

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DRAW_CHUNK, ConvergenceError, ValidationError, _check_integer, _check_outcomes
+from .core import DRAW_CHUNK, _check_integer, _check_outcomes
 from .fisher import fisher_analytic
 from .interferometer import InterferometerConfig, MeasuredModel
 from .states import _check_disk
@@ -270,22 +270,19 @@ def _project_disk(v: np.ndarray) -> np.ndarray:
 
 
 def _brentq(f, xa: float, xb: float, xtol: float):
-    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+    """Root of f in [xa, xb] by Brent's method; f(xa) and f(xb) are nonzero, of opposite sign.
 
     A step-for-step port of SciPy's ``brentq`` (inverse quadratic or secant
     step when it is short enough, bisection otherwise, relative tolerance
-    4 * machine epsilon), so it returns the same root to the last bit. A
-    generator over the generator ``f``: it reads each value as ``yield from
+    4 * machine epsilon), so it returns the same root to the last bit; at
+    SciPy's 100-iteration cap it returns its last iterate, evaluated, instead.
+    A generator over the generator ``f``: it reads each value as ``yield from
     f(x)``, so the points ``f`` yields reach the caller, and returns the root.
     """
     rtol = 4.0 * np.finfo(float).eps
     xpre, xcur = xa, xb
     fpre = yield from f(xpre)
     fcur = yield from f(xcur)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValidationError("f(xa) and f(xb) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(100):  # SciPy's default iteration cap
         if fpre and fcur and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
@@ -319,7 +316,7 @@ def _brentq(f, xa: float, xb: float, xtol: float):
         else:
             xcur += delta if sbis > 0.0 else -delta
         fcur = yield from f(xcur)
-    raise ConvergenceError("root finder did not converge in 100 iterations")
+    return xcur
 
 
 def _boundary_polish(x: np.ndarray, f: float, grad: np.ndarray):
@@ -387,8 +384,7 @@ def _mle_lockstep(
     on the circle with an inward gradient and the polish along the circle
     leaves x unchanged ("boundary"); a polish that moves x is one iteration.
     A run still going after MAX_ITERATIONS (read at call time) ends there
-    ("capped"). Per record the lower final value wins, the first start on a
-    tie. Only the polish's root finder raises: a ConvergenceError, at once.
+    ("capped"); per record the lower final value wins, the first start on a tie.
     """
     model, max_iterations = cfg.model, MAX_ITERATIONS
     starts = _moment_starts(moments, cfg.source.epsilon)

@@ -8,6 +8,10 @@
 * ``block_basis``, ``block_betas`` and ``block_fisher``: V_r as two 2x2 blocks and the
   Fisher information in closed form, against which ``fisher_analytic`` is checked;
   ``fisher_decimal`` evaluates the trace identity in 50-digit arithmetic;
+* ``block_nll_and_grad``: the per-shot likelihood and its gradient from the block
+  statistics of a second moment, against which the MLE's 4x4 evaluator is checked;
+* ``block_wishart``: the two block second moments of a record drawn directly, three
+  random numbers a block, against which ``sample_records`` is checked;
 * ``linear_estimate`` and ``linear_estimate_covariance``: an estimator of g whose
   mean and covariance are exact at every shot count, against which sampled records
   are checked;
@@ -16,7 +20,9 @@
 * ``published_bound``: the five schemes' lowest-order bounds, typed from the
   published analyses, against which the ``compare`` table is checked;
 * ``heterodyne_fisher``: the Fisher information of heterodyne detection at each site,
-  against which ``fisher_analytic`` with a vacuum resource and the LOCAL bound are checked.
+  against which ``fisher_analytic`` with a vacuum resource and the LOCAL bound are checked;
+* ``direct_detection_fisher``: the exact Fisher information of direct detection, against
+  which the DD bound and the homodyne Fisher information are checked.
 """
 
 import math
@@ -37,6 +43,7 @@ from cvlbi.interferometer import (
     InterferometerConfig,
     MeasuredModel,
     abbreviations,
+    beam_splitter_matrix,
 )
 from cvlbi.states import SourceParams, astronomical_covariance
 
@@ -137,6 +144,65 @@ def block_fisher(eps: float, g1: float, g2: float, n_bar: float) -> np.ndarray:
         delta = (beta - gamma * r) * (beta + gamma * r)
         f += gamma**2 * (np.eye(2) / delta + 2.0 * gamma**2 * np.outer(g, g) / delta**2)
     return f
+
+
+def block_moments(theta: float, s: np.ndarray) -> np.ndarray:
+    """The blocks (S_+, S_-) of Q^T S Q for each second moment s[i] (n x 4 x 4): n x 2 x 2 x 2."""
+    q = block_basis(theta)
+    b = q.T @ s @ q
+    return np.stack([b[:, :2, :2], b[:, 2:, 2:]], axis=1)
+
+
+def block_statistics(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, u) of each pair of blocks (n x 2 x 2 x 2): T[i, s] = tr S_s (n x 2) and
+    u[i, s, k] = tr(tau_k S_s) (n x 2 x 2), all a record's likelihood reads."""
+    return np.trace(blocks, axis1=2, axis2=3), np.einsum("kab,isba->isk", np.stack(TAU), blocks)
+
+
+def block_nll_and_grad(cfg: InterferometerConfig, s: np.ndarray, g: np.ndarray):
+    """Per-shot negative log-likelihood of each second moment s[i] (n x 4 x 4) at the
+    coherence g[i] (n x 2), and its gradient in g: (values[n], grads[n, 2]).
+
+    C_s = beta_s I + gamma g.tau has det Delta_s = (beta_s - gamma |g|)(beta_s + gamma |g|)
+    and inverse (beta_s I - gamma g.tau) / Delta_s, so with T_s = tr S_s and
+    u_s,k = tr(tau_k S_s) the value is
+    sum_s [log Delta_s + (beta_s T_s - gamma g.u_s) / Delta_s] / 2 + 2 log 2 pi.
+    """
+    src, res = cfg.source, cfg.resource
+    gamma = src.epsilon / 2.0
+    t, u = block_statistics(block_moments(res.theta, s))
+    r = np.hypot(g[:, 0], g[:, 1])
+    values, grads = 2.0 * math.log(2.0 * math.pi), np.zeros_like(g)
+    for k, beta in enumerate(block_betas(src.epsilon, res.n_bar)):
+        delta = (beta - gamma * r) * (beta + gamma * r)
+        quad = (beta * t[:, k] - gamma * np.vecdot(g, u[:, k])) / delta
+        values = values + 0.5 * (np.log(delta) + quad)
+        # d Delta / d g = -2 gamma^2 g and d(gamma g.u) / d g = gamma u
+        grads += (gamma**2 * g * (quad - 1.0)[:, None] - 0.5 * gamma * u[:, k]) / delta[:, None]
+    return values, grads
+
+
+def block_wishart(cfg: InterferometerConfig, shots: int, count: int, rng) -> np.ndarray:
+    """``count`` draws of the blocks (S_+, S_-) of a ``shots``-shot record's second moment:
+    count x 2 x 2 x 2, each block Wishart_2(C_s, M) / M and the two independent.
+
+    The Bartlett decomposition W = L A A^T L^T with L L^T = C_s and A lower triangular,
+    sqrt(chi^2_M) and sqrt(chi^2_{M-1}) on its diagonal and one standard normal below it
+    (Smith and Hocking, Applied Statistics AS 53, 1972). M >= 2: numpy's chi-square
+    takes no 0 degrees of freedom.
+    """
+    src, res = cfg.source, cfg.resource
+    coherence = src.epsilon / 2.0 * (src.g1 * TAU[0] + src.g2 * TAU[1])
+    a = np.zeros((count, 2, 2, 2))
+    a[..., 0, 0] = np.sqrt(rng.chisquare(shots, (count, 2)))
+    a[..., 1, 1] = np.sqrt(rng.chisquare(shots - 1, (count, 2)))
+    a[..., 1, 0] = rng.standard_normal((count, 2))
+    chol = np.stack([
+        np.linalg.cholesky(beta * np.eye(2) + coherence)
+        for beta in block_betas(src.epsilon, res.n_bar)
+    ])
+    la = chol @ a
+    return la @ la.swapaxes(-1, -2) / shots
 
 
 def fisher_decimal(eps: float, g1: float, g2: float, n_bar: float) -> np.ndarray:
@@ -246,3 +312,37 @@ def heterodyne_fisher(eps: float, g1: float, g2: float) -> np.ndarray:
     s_inv = np.linalg.inv((v_src(g1, g2) + np.eye(4)) / 2.0)
     ds = [(v_src(*e) - v_src(0.0, 0.0)) / 2.0 for e in np.eye(2)]
     return np.array([[np.trace(s_inv @ dk @ s_inv @ dl) / 2.0 for dl in ds] for dk in ds])
+
+
+def direct_detection_fisher(eps: float, g1: float, g2: float) -> np.ndarray:
+    """Fisher information in (g1, g2) per shot of direct detection of the source.
+
+    A phase phi on B1, then ``beam_splitter_matrix()`` on (A1, B1), then a threshold
+    detector on each output; half the shots take phi = 0 and half phi = pi / 2. A set S
+    of output modes sees no click with probability P_S = 2^|S| / sqrt(det(V_S + I)), and
+    the four outcome probabilities follow by inclusion and exclusion. V_src is linear in
+    g, and dP_S = -P_S tr((V_S + I)^-1 dV_S) / 2 is exact.
+    """
+    def v_src(h1, h2):
+        return astronomical_covariance(SourceParams(eps, h1, h2)).entries
+
+    dv = [v_src(*e) - v_src(0.0, 0.0) for e in np.eye(2)]
+    f = np.zeros((2, 2))
+    for phi in (0.0, math.pi / 2.0):
+        u = np.eye(4)
+        u[2:, 2:] = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
+        u = beam_splitter_matrix() @ u
+        v, dv_out = u @ v_src(g1, g2) @ u.T, [u @ d @ u.T for d in dv]
+        # P_S and dP_S for S = {1}, {2} and {1, 2}
+        p_none, dp_none = np.empty(3), np.empty((3, 2))
+        for i, modes in enumerate(([0, 1], [2, 3], [0, 1, 2, 3])):
+            block = np.ix_(modes, modes)
+            m = np.linalg.inv(v[block] + np.eye(len(modes)))
+            p_none[i] = 2.0 ** (len(modes) // 2) * math.sqrt(np.linalg.det(m))
+            dp_none[i] = [-0.5 * p_none[i] * np.trace(m @ d[block]) for d in dv_out]
+        # outcomes (none, none), (click, none), (none, click), (click, click)
+        signs = np.array([[0, 0, 1], [0, 1, -1], [1, 0, -1], [-1, -1, 1]])
+        p = np.array([0.0, 0.0, 0.0, 1.0]) + signs @ p_none
+        dp = signs @ dp_none
+        f += 0.5 * dp.T @ (dp / p[:, None])
+    return f

@@ -364,22 +364,6 @@ class TestExitCodes:
         assert json.loads(out)["replications"] == 30
         assert "warning: 30 of 30 fits stopped at the iteration cap (1 iterations)\n" in err
 
-    def test_root_finder_failure_exits_3(self, capsys, monkeypatch):
-        import cvlbi.estimate as estimate_module
-        from cvlbi.core import ConvergenceError
-
-        def failing(f, xa, xb, xtol):
-            yield from f(xa)
-            raise ConvergenceError("root finder did not converge in 100 iterations")
-
-        monkeypatch.setattr(estimate_module, "_brentq", failing)
-        code, out, err = run_cli(
-            capsys, "estimate", "--epsilon", "0.05", "--g1", "0.9", "--g2", "0.3",
-            "--n-bar", "3", "--theta", "1", "--shots", "500", "--replications", "30",
-        )
-        assert code == 3 and out == ""
-        assert err == "numerical failure: root finder did not converge in 100 iterations\n"
-
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(capsys, "state", "--output", str(target))

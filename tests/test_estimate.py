@@ -11,9 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import (
-    TAU,
     block_basis,
     block_betas,
+    block_moments,
+    block_nll_and_grad,
+    block_statistics,
+    block_wishart,
     circle_maximum,
     gaussian_log_pdf,
     linear_estimate,
@@ -249,6 +252,40 @@ class TestSampling:
             MeasurementRecord(outcomes=bad, seed=0, config=CFG)
 
 
+def from_blocks(theta: float, blocks: np.ndarray) -> np.ndarray:
+    """The second moments Q diag(S_+, S_-) Q^T of block pairs (n x 2 x 2 x 2): n x 4 x 4."""
+    q = block_basis(theta)
+    diagonal = np.zeros((len(blocks), 4, 4))
+    diagonal[:, :2, :2], diagonal[:, 2:, 2:] = blocks[:, 0], blocks[:, 1]
+    return q @ diagonal @ q.T
+
+
+def block_statistic_columns(blocks: np.ndarray) -> np.ndarray:
+    """The six block statistics (T_+, T_-, u_+1, u_+2, u_-1, u_-2) of each block pair: n x 6."""
+    t, u = block_statistics(blocks)
+    return np.column_stack([t, u.reshape(len(u), 4)])
+
+
+class TestBlockWishart:
+    def test_statistics_match_sample_records(self):
+        # measured: means at most 2.4 and variances at most 1.7 standard errors apart,
+        # standard deviations within 2.2%
+        cfg = InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1.0, theta=0.7)
+        moments = np.stack([sample_records(cfg, 100, seed).second_moment for seed in range(3000)])
+        records = block_statistic_columns(block_moments(cfg.resource.theta, moments))
+        drawn = block_statistic_columns(block_wishart(cfg, 100, 30_000, np.random.default_rng(8)))
+        squares = [(x - x.mean(axis=0)) ** 2 for x in (records, drawn)]
+        # a variance is the mean of the squared deviations, with that mean's standard error
+        for a, b in [(records, drawn), squares]:
+            se = np.hypot(a.std(axis=0) / math.sqrt(len(a)), b.std(axis=0) / math.sqrt(len(b)))
+            assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 3.0 * se)
+
+    def test_blocks_are_symmetric_positive_definite_from_two_shots(self):
+        blocks = block_wishart(CFG_COHERENT, 2, 100, np.random.default_rng(9))
+        assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
+        assert np.linalg.eigvalsh(blocks).min() > 0.0
+
+
 #: (eps 0.1, n_bar 1) and the far-squeezed (eps 0.5, n_bar 1e3), at coherences off the axes
 LINEAR_CASES = [
     InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1.0, theta=0.7),
@@ -278,18 +315,34 @@ class TestLinearEstimator:
         se = products.std(axis=0) / math.sqrt(replications)
         assert np.all(np.abs(sample - exact[[0, 0, 1], [0, 1, 1]]) <= 4.0 * se)
 
+    @pytest.mark.parametrize("index, eps", enumerate([1e-2, 1e-4, 1e-6, 1e-8]))
+    def test_mean_and_covariance_on_block_draws(self, index, eps):
+        # M = 100 / eps^2 shots, up to 1e18, where no explicit record can be drawn;
+        # measured: means within 1.6 and (co)variances within 1.6 standard errors,
+        # variance ratios 0.92 to 1.11
+        replications, shots = 400, round(100.0 / eps**2)
+        cfg = InterferometerConfig.from_values(eps, 0.3, 0.2, n_bar=1.0, theta=0.7)
+        g = np.array([cfg.source.g1, cfg.source.g2])
+        blocks = block_wishart(cfg, shots, replications, np.random.default_rng(index))
+        estimates = linear_estimate(cfg.model, from_blocks(cfg.resource.theta, blocks))
+        exact = linear_estimate_covariance(cfg.model, g, shots)
+        mean_se = np.sqrt(np.diag(exact) / replications)
+        assert np.all(np.abs(estimates.mean(axis=0) - g) <= 3.0 * mean_se)
+        # each sample (co)variance within 4 of its standard errors, as on explicit records
+        deviations = estimates - estimates.mean(axis=0)
+        products = deviations[:, [0, 0, 1]] * deviations[:, [0, 1, 1]]
+        sample = products.sum(axis=0) / (replications - 1)
+        se = products.std(axis=0) / math.sqrt(replications)
+        assert np.all(np.abs(sample - exact[[0, 0, 1], [0, 1, 1]]) <= 4.0 * se)
+
     @pytest.mark.parametrize("cfg", LINEAR_CASES, ids=["weak", "squeezed"])
     def test_is_the_block_moment_estimate_weighted_by_inverse_beta_squared(self, cfg):
         # in the blocks S_s of Q^T S Q: g_lin = sum_s u_s / beta_s^2 / (2 gamma sum_s 1 / beta_s^2),
         # with u_s,k = tr(tau_k S_s)
         moments = np.stack([sample_records(cfg, 50, seed).second_moment for seed in range(5)])
-        q = block_basis(cfg.resource.theta)
-        blocks = q.T @ moments @ q
+        _, u = block_statistics(block_moments(cfg.resource.theta, moments))
         weights = [beta**-2 for beta in block_betas(cfg.source.epsilon, cfg.resource.n_bar)]
-        weighted = sum(
-            w * np.einsum("kij,rji->rk", np.stack(TAU), blocks[:, 2 * s : 2 * s + 2, 2 * s : 2 * s + 2])
-            for s, w in enumerate(weights)
-        )
+        weighted = sum(w * u[:, s] for s, w in enumerate(weights))
         expected = weighted / (cfg.source.epsilon * sum(weights))
         np.testing.assert_allclose(linear_estimate(cfg.model, moments), expected, rtol=0, atol=1e-12)
 
@@ -347,6 +400,53 @@ class TestStackedEvaluator:
             value, grad = one_matrix_nll_and_grad(model, moments[i], g[i])
             assert values[i] == value
             assert np.array_equal(grads[i], grad)
+
+
+class TestBlockLikelihood:
+    """The per-shot likelihood from the block statistics of a second moment."""
+
+    def draws(self, count: int, log_eps_min: float):
+        """(cfg, second moment) pairs: eps log-uniform in [10^log_eps_min, 1], n_bar
+        log-uniform in [1e-3, 1e3], any g and theta, records of 1 to 1,000 shots."""
+        rng = np.random.default_rng(29)
+        for seed in range(count):
+            eps, n_bar = 10.0 ** rng.uniform(log_eps_min, 0.0), 10.0 ** rng.uniform(-3.0, 3.0)
+            mag, phase = math.sqrt(rng.uniform()), rng.uniform(0.0, 2.0 * math.pi)
+            cfg = InterferometerConfig.from_values(
+                eps, mag * math.cos(phase), mag * math.sin(phase),
+                n_bar=n_bar, theta=rng.uniform(0.0, 2.0 * math.pi),
+            )
+            shots = int(10.0 ** rng.uniform(0.0, 3.0))
+            yield cfg, sample_records(cfg, shots, seed).second_moment
+
+    def test_matches_the_stacked_evaluator(self):
+        # measured: values within 4.0e-16 max(1, n_bar) relative, gradients within
+        # 4.9e-15 gamma max(1, n_bar); the LAPACK route loses digits as n_bar grows
+        rng = np.random.default_rng(30)
+        for cfg, s in self.draws(400, -6.0):
+            radius = np.sqrt(rng.uniform(size=8))
+            radius[:2] = 1.0  # a quarter of the points on the circle
+            phase = rng.uniform(0.0, 2.0 * math.pi, 8)
+            g = np.column_stack([radius * np.cos(phase), radius * np.sin(phase)])
+            moments = np.repeat(s[None], len(g), axis=0)
+            values, grads = _nll_and_grad(cfg.model, moments, g)
+            block_values, block_grads = block_nll_and_grad(cfg, moments, g)
+            scale = max(1.0, cfg.resource.n_bar)
+            assert np.all(np.abs(block_values - values) <= 1e-15 * scale * np.abs(values))
+            gamma = cfg.source.epsilon / 2.0
+            assert np.all(np.abs(block_grads - grads) <= 5e-14 * gamma * scale)
+
+    def test_circle_maximum_is_the_block_direction(self):
+        # on |g| = 1, Delta_s = beta_s^2 - gamma^2 and the likelihood peaks at w / |w|,
+        # w = sum_s u_s / Delta_s; measured within 3.1e-10 rad. ``circle_maximum`` takes
+        # differences of inverses of V_r, which lose digits as n_bar / eps grows, so eps
+        # stays at 1e-3 or above here
+        for cfg, s in self.draws(500, -3.0):
+            gamma = cfg.source.epsilon / 2.0
+            _, u = block_statistics(block_moments(cfg.resource.theta, s[None]))
+            betas = block_betas(cfg.source.epsilon, cfg.resource.n_bar)
+            w = sum(u[0, k] / (beta**2 - gamma**2) for k, beta in enumerate(betas))
+            assert circle_distance(w, circle_maximum(cfg.model, s)) <= 1e-8
 
 
 class TestMle:
@@ -427,11 +527,20 @@ class TestBoundaryRootFinder:
             assert root == optimize.brentq(f, a, b, xtol=1e-15)
             checked += 1
 
-    def test_same_sign_bracket_rejected(self):
+    def test_returns_an_evaluated_point_at_its_cap(self):
+        # with xtol 0 a sign step on [-1e300, 1e300] takes some 2,000 bisections to
+        # close, far more than the 100 iterations the root finder is allowed
         from cvlbi.estimate import _brentq
 
-        with pytest.raises(ValidationError):
-            drive(_brentq(yielded, -1.0, 1.0, xtol=1e-15), lambda x: x * x + 1.0)
+        points = []
+
+        def step(x):
+            points.append(x)
+            return 1.0 if x > 0.0 else -1.0
+
+        root = drive(_brentq(yielded, -1e300, 1e300, xtol=0.0), step)
+        assert len(points) == 102
+        assert root == points[-1]
 
 
 def circle_distance(g, h):

@@ -9,9 +9,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import TAU, block_basis, block_betas, block_fisher, fisher_decimal, heterodyne_fisher
+from oracles import (
+    TAU,
+    block_basis,
+    block_betas,
+    block_fisher,
+    direct_detection_fisher,
+    fisher_decimal,
+    heterodyne_fisher,
+)
 
 from cvlbi.cli import main
 from cvlbi.core import DRAW_CHUNK, ValidationError, symplectic_form
@@ -582,6 +590,60 @@ class TestSchemeBoundsAgainstQfi:
         for eps, over in ((0.7, False), (0.75, True), (1.0, True)):
             qfi_trace = np.trace(source_qfi(eps, 0.0, 0.0))
             assert bool(compare_bounds(eps)[SchemeId.CV_INF.value] > qfi_trace) is over
+
+
+#: above this eps the trace of LIMIT_INFINITY exceeds the exact direct-detection trace at g = 0
+DD_CROSSING = 0.8392867552141616
+
+
+class TestDirectDetection:
+    """The DD bound derived from threshold detection of the thermal source itself."""
+
+    def test_trace_tends_to_the_dd_constant(self):
+        # at g = 0 the trace is eps / (1 + eps / 2)^2, measured to 5.5e-13 relative: the
+        # inclusion and exclusion of the no-click probabilities loses digits as eps shrinks
+        for eps, expected in ((0.1, 0.90703), (1e-2, 0.99007), (1e-3, 0.99900)):
+            trace = np.trace(direct_detection_fisher(eps, 0.0, 0.0))
+            assert round(trace / eps, 5) == expected
+            assert math.isclose(trace, eps / (1.0 + eps / 2.0) ** 2, rel_tol=1e-11)
+        assert compare_bounds(1e-3)[SchemeId.DD.value] == 1e-3  # the constant ``compare`` prints
+
+    @pytest.mark.parametrize("g1, g2, expected", [(0.3, 0.2, 0.99992), (0.6, -0.5, 0.99997)])
+    def test_lowest_order_trace_depends_on_the_coherence(self, g1, g2, expected):
+        # the lowest-order DD trace is (eps / 2)(1 / (1 - g1^2) + 1 / (1 - g2^2)), while
+        # ``compare`` prints its g = 0 value eps
+        eps = 1e-4
+        lowest_order = eps / 2.0 * (1.0 / (1.0 - g1 * g1) + 1.0 / (1.0 - g2 * g2))
+        assert round(np.trace(direct_detection_fisher(eps, g1, g2)) / lowest_order, 5) == expected
+
+    @settings(max_examples=60)
+    @given(
+        log_eps=st.floats(-4.0, math.log10(0.8)),
+        mag=st.floats(0.0, 0.99),
+        phase=st.floats(0.0, 2 * math.pi),
+        log_n_bar=st.floats(-3.0, 4.0),
+        theta=st.floats(0.0, 2 * math.pi),
+    )
+    @example(log_eps=math.log10(0.8), mag=0.0, phase=0.0, log_n_bar=4.0, theta=0.0)
+    def test_homodyne_trace_below_direct_detection(self, log_eps, mag, phase, log_n_bar, theta):
+        # the paper's conclusion with exact values; the worst ratio measured is 0.968, at
+        # eps 0.8 and g = 0 with large n_bar, the explicit example
+        cfg = weak_source_config(log_eps, mag, phase, theta, 10.0**log_n_bar)
+        src = cfg.source
+        dd = direct_detection_fisher(src.epsilon, src.g1, src.g2)
+        assert np.trace(fisher_analytic(cfg).entries) <= np.trace(dd)
+
+    def test_infinite_squeezing_exceeds_direct_detection_above_the_crossing(self):
+        # the paper's conclusion holds for eps below DD_CROSSING only; the ratio of the
+        # traces is 1.048 at eps 0.9 and 1.125 at eps 1
+        def ratio(eps):
+            limit = fisher_limit_closed_form(eps, 0.0, 0.0, LIMIT_INFINITY).trace_norm
+            return limit / np.trace(direct_detection_fisher(eps, 0.0, 0.0))
+
+        assert ratio(DD_CROSSING * (1.0 - 1e-9)) < 1.0 < ratio(DD_CROSSING * (1.0 + 1e-9))
+        assert round(ratio(0.8), 3) == 0.968
+        assert round(ratio(0.9), 3) == 1.048
+        assert round(ratio(1.0), 3) == 1.125
 
 
 #: draws of one weak-source config: eps log-uniform in [1e-4, 1], |g| <= 0.9, any theta
