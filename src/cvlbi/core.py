@@ -12,11 +12,12 @@ The literature carries at least three incompatible normalizations (vacuum varian
 1/2, 1, or 2); nothing in this package is compatible with any convention other than
 vacuum = identity.
 
-Validation policy: public constructors validate, and so does any step whose
-arithmetic can overflow (``apply_symplectic``, the state constructors). Exact
-rearrangements (``direct_sum``, ``permute_modes``, ``reduce``) inherit their
-inputs' guarantees: they return fresh read-only copies unchecked, and validate
-each derived ordering once per distinct input.
+Validation policy: public constructors validate, and so does ``apply_symplectic``,
+whose matrix is arbitrary. Exact rearrangements (``direct_sum``, ``permute_modes``,
+``reduce``) return fresh read-only copies unchecked, and validate each derived
+ordering once per distinct input. So do the state constructors and the measured
+pipeline: their validated parameters cannot overflow an entry, each entry is placed
+symmetrically, and a test checks the constant beam splitter once.
 """
 
 from __future__ import annotations
@@ -187,7 +188,8 @@ class CovarianceMatrix:
 
     @classmethod
     def _derived(cls, ordering: QuadratureOrdering, entries: np.ndarray) -> "CovarianceMatrix":
-        """Wrap a fresh array rearranged exactly from validated matrices, unchecked."""
+        """Wrap, unchecked and made read-only, a fresh array finite and symmetric by
+        construction: validated matrices rearranged, or validated parameters placed so."""
         entries.flags.writeable = False
         out = object.__new__(cls)
         out.__dict__.update(ordering=ordering, entries=entries)

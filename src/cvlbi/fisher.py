@@ -126,7 +126,7 @@ def score_vectors(cfg: InterferometerConfig, outcomes: np.ndarray) -> np.ndarray
 def fisher_analytic(cfg: InterferometerConfig) -> FisherMatrix:
     """Fisher information from the Gaussian trace identity; exact for any n_bar."""
     v = cfg.measured_covariance
-    a1, a2 = (np.linalg.solve(v, d) for d in (cfg.model.d1, cfg.model.d2))
+    a1, a2 = np.linalg.solve(v, np.stack((cfg.model.d1, cfg.model.d2)))
     f11 = 0.5 * float(np.trace(a1 @ a1))
     f22 = 0.5 * float(np.trace(a2 @ a2))
     f12 = 0.5 * float(np.trace(a1 @ a2))

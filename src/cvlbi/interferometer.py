@@ -8,8 +8,9 @@ returned here.
 
 The product state is assembled in (A1, B1, A2, B2) order while the beam splitters
 act on (A1, A2) and (B1, B2) pairs, so an explicit mode permutation sits between
-the two steps. It goes by mode labels (``permute_modes`` to OUTPUT_ORDERING):
-index arithmetic here is the likeliest way to get this wrong.
+the two steps. Index arithmetic here is the likeliest way to get this wrong, so the
+permutation and the measured selection are never typed by hand: both index arrays
+are derived once, at import, from the mode labels by the label algebra of ``core``.
 
 Both a step-by-step pipeline and the direct closed form of the reduced covariance
 are provided. They agree to 1e-12. The closed form is linear in the coherence,
@@ -30,12 +31,13 @@ from .core import (
     CovarianceMatrix,
     QuadratureOrdering,
     _check_positive_definite,
-    apply_symplectic,
-    direct_sum,
-    permute_modes,
-    reduce,
+    _permutation,
+    _selection,
+    _sum_ordering,
 )
 from .states import (
+    ASTRO_ORDERING,
+    TMSV_ORDERING,
     SourceParams,
     TmsvParams,
     astronomical_covariance,
@@ -49,6 +51,9 @@ OUTPUT_ORDERING = QuadratureOrdering.interleaved("A1", "A2", "B1", "B2")
 MEASURED_LABELS = (("A1", "x"), ("A2", "p"), ("B1", "x"), ("B2", "p"))
 MEASURED_ORDERING = QuadratureOrdering.selection(MEASURED_LABELS)
 
+#: index arrays: the product's (A1, B1, A2, B2) order to OUTPUT_ORDERING, and the measured set
+_PAIRED = _permutation(_sum_ordering(ASTRO_ORDERING, TMSV_ORDERING), OUTPUT_ORDERING)
+_MEASURED = _selection(OUTPUT_ORDERING, MEASURED_LABELS)[1]
 
 #: where the coherence enters the measured covariance: D_i = (eps / 2) * slots_i
 _G1_SLOTS = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
@@ -124,12 +129,12 @@ def abbreviations(cfg: InterferometerConfig) -> tuple[float, float, float, float
 
 
 def full_output_covariance(cfg: InterferometerConfig) -> CovarianceMatrix:
-    """Post-beam-splitter covariance on (A1, A2, B1, B2), computed step by step."""
-    product = direct_sum(
-        astronomical_covariance(cfg.source), tmsv_covariance_closed(cfg.resource)
-    )
-    paired = permute_modes(product, OUTPUT_ORDERING)
-    return apply_symplectic(paired, _TWO_SITE_BEAM_SPLITTER)
+    """Post-beam-splitter covariance on (A1, A2, B1, B2): product state, permutation, S V S^T."""
+    product = np.zeros((8, 8))
+    product[:4, :4] = astronomical_covariance(cfg.source).entries
+    product[4:, 4:] = tmsv_covariance_closed(cfg.resource).entries
+    out = _TWO_SITE_BEAM_SPLITTER @ product[_PAIRED] @ _TWO_SITE_BEAM_SPLITTER.T
+    return CovarianceMatrix._derived(OUTPUT_ORDERING, (out + out.T) / 2.0)  # as apply_symplectic
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +172,7 @@ class MeasuredModel:
 def reduced_covariance_closed(cfg: InterferometerConfig) -> CovarianceMatrix:
     """Measured-quadrature covariance over (x_A1, p_A2, x_B1, p_B2), closed form."""
     entries = cfg.model.covariance(cfg.source.g1, cfg.source.g2)
-    return CovarianceMatrix(MEASURED_ORDERING, entries)
+    return CovarianceMatrix._derived(MEASURED_ORDERING, entries)  # sums of symmetric arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,4 +198,5 @@ class ReducedState:
 def reduced_covariance(cfg: InterferometerConfig) -> ReducedState:
     """Run the pipeline, reduce to the measured quadratures, and pair with the closed form."""
     full = full_output_covariance(cfg)
-    return ReducedState(reduced_covariance_closed(cfg), reduce(full, MEASURED_LABELS), full)
+    pipeline = CovarianceMatrix._derived(MEASURED_ORDERING, full.entries[_MEASURED])
+    return ReducedState(reduced_covariance_closed(cfg), pipeline, full)

@@ -130,7 +130,7 @@ def astronomical_covariance(params: SourceParams) -> CovarianceMatrix:
     eps = params.epsilon
     a, c, e = eps + 1.0, eps * params.g1, eps * params.g2
     entries = np.array([[a, 0.0, c, -e], [0.0, a, e, c], [c, e, a, 0.0], [-e, c, 0.0, a]])
-    return CovarianceMatrix(ASTRO_ORDERING, entries)
+    return CovarianceMatrix._derived(ASTRO_ORDERING, entries)
 
 
 def tmsv_covariance_closed(params: TmsvParams) -> CovarianceMatrix:
@@ -144,7 +144,7 @@ def tmsv_covariance_closed(params: TmsvParams) -> CovarianceMatrix:
     root = 2.0 * math.sqrt(n * (n + 1.0))
     c, s = root * math.cos(params.theta), root * math.sin(params.theta)
     entries = np.array([[b, 0.0, c, s], [0.0, b, s, -c], [c, s, b, 0.0], [s, -c, 0.0, b]])
-    return CovarianceMatrix(TMSV_ORDERING, entries)
+    return CovarianceMatrix._derived(TMSV_ORDERING, entries)
 
 
 def tmsv_generator(params: TmsvParams) -> np.ndarray:

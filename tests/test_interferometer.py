@@ -1,15 +1,26 @@
 """Tests for the beam-splitter pipeline and the measured covariance."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from oracles import full_output_covariance_closed
 
-from cvlbi.core import symplectic_form
+from cvlbi import core, fisher
+from cvlbi.core import (
+    CovarianceMatrix,
+    apply_symplectic,
+    direct_sum,
+    permute_modes,
+    reduce,
+    symplectic_form,
+)
 from cvlbi.interferometer import (
     InterferometerConfig,
+    MEASURED_LABELS,
     MEASURED_ORDERING,
+    OUTPUT_ORDERING,
     MeasuredModel,
     _TWO_SITE_BEAM_SPLITTER,
     abbreviations,
@@ -18,9 +29,21 @@ from cvlbi.interferometer import (
     reduced_covariance,
     reduced_covariance_closed,
 )
-from cvlbi.states import SourceParams, TmsvParams
+from cvlbi.states import (
+    G_NORM_SLACK,
+    TWO_PI,
+    SourceParams,
+    TmsvParams,
+    astronomical_covariance,
+    tmsv_covariance_closed,
+)
 
 RNG_SEED = 5200
+
+#: the largest n_bar TmsvParams accepts: n_bar (n_bar + 1) is still finite
+LARGEST_N_BAR = math.sqrt(sys.float_info.max)
+#: |g|^2 = 1 + G_NORM_SLACK, the edge of the accepted disk
+EDGE_G = math.sqrt(1.0 + G_NORM_SLACK)
 
 
 def random_config(rng) -> InterferometerConfig:
@@ -30,6 +53,117 @@ def random_config(rng) -> InterferometerConfig:
         SourceParams(rng.uniform(1e-4, 1.0), mag * math.cos(phase), mag * math.sin(phase)),
         TmsvParams(rng.uniform(0, 10), rng.uniform(0, 2 * np.pi)),
     )
+
+
+def wide_config(rng) -> InterferometerConfig:
+    """eps log-uniform on [1e-6, 1], g uniform on the disk, n_bar log-uniform on [1e-6, 1e8]."""
+    phase = rng.uniform(0, 2 * np.pi)
+    mag = math.sqrt(rng.uniform(0, 1))
+    return InterferometerConfig.from_values(
+        10.0 ** rng.uniform(-6, 0), mag * math.cos(phase), mag * math.sin(phase),
+        n_bar=10.0 ** rng.uniform(-6, 8), theta=rng.uniform(0, 2 * np.pi),
+    )
+
+
+@pytest.fixture(scope="module")
+def corner_configs(smallest_epsilon, largest_epsilon) -> list[InterferometerConfig]:
+    """Every combination of the edges of the parameter space, with interior values."""
+    coherences = ((0.0, 0.0), (EDGE_G, 0.0), (0.0, -EDGE_G), (-EDGE_G, 0.0))
+    return [
+        InterferometerConfig.from_values(eps, g1, g2, n_bar=n_bar, theta=theta)
+        for eps in (smallest_epsilon, 1e-100, 1e-6, 1.0, 1e100, largest_epsilon)
+        for g1, g2 in coherences
+        for n_bar in (0.0, 1e-300, 1.0, LARGEST_N_BAR)
+        for theta in (0.0, 1.0, math.nextafter(TWO_PI, 0.0))
+    ]
+
+
+def assert_label_algebra_bits(cfg: InterferometerConfig) -> None:
+    """The pipeline's full and measured covariances equal the general label algebra's."""
+    product = direct_sum(astronomical_covariance(cfg.source), tmsv_covariance_closed(cfg.resource))
+    full = apply_symplectic(permute_modes(product, OUTPUT_ORDERING), _TWO_SITE_BEAM_SPLITTER)
+    state = reduced_covariance(cfg)
+    for fast, oracle in ((state.v_full, full), (state.v_r_pipeline, reduce(full, MEASURED_LABELS))):
+        assert fast.entries.tobytes() == oracle.entries.tobytes()
+        assert fast.ordering.names == oracle.ordering.names
+        assert fast.ordering.reduced == oracle.ordering.reduced
+
+
+class TestLabelAlgebraOracle:
+    """The pipeline on index arrays derived at import reproduces the label algebra bit for bit."""
+
+    def test_random_configs(self):
+        rng = np.random.default_rng(RNG_SEED + 7)
+        for _ in range(1000):
+            assert_label_algebra_bits(wide_config(rng))
+
+    def test_corners(self, corner_configs):
+        for cfg in corner_configs:
+            assert_label_algebra_bits(cfg)
+
+
+class TestCornerMatrices:
+    """What the dropped re-checks held, pinned over the edges of the parameter space."""
+
+    def test_corners_sit_on_the_edges(self):
+        TmsvParams(LARGEST_N_BAR)
+        with pytest.raises(core.ValidationError):
+            TmsvParams(math.nextafter(LARGEST_N_BAR, math.inf))
+        SourceParams(1.0, EDGE_G, 0.0)
+        with pytest.raises(core.ValidationError):
+            SourceParams(1.0, math.sqrt(1.0 + 2.0 * G_NORM_SLACK), 0.0)
+
+    def test_finite_symmetric_read_only_and_valid(self, corner_configs):
+        for cfg in corner_configs:
+            for v in (
+                astronomical_covariance(cfg.source),
+                tmsv_covariance_closed(cfg.resource),
+                reduced_covariance_closed(cfg),
+                full_output_covariance(cfg),
+            ):
+                m = v.entries
+                assert np.isfinite(m).all()
+                assert np.array_equal(m, m.T)
+                assert not m.flags.writeable
+                CovarianceMatrix(v.ordering, m)
+
+
+def count_calls(monkeypatch, home, name: str) -> list:
+    """Count calls of ``home.name`` from every cvlbi module that holds it."""
+    calls = []
+    original = getattr(home, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "cvlbi" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_path_work_count(monkeypatch):
+    """One config through state plus fisher: no validating covariance, no general
+    symplectic transform, and exactly one check of V_r."""
+    validations = []
+    post_init = CovarianceMatrix.__post_init__
+
+    def counted_post_init(self):
+        validations.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CovarianceMatrix, "__post_init__", counted_post_init)
+    transforms = count_calls(monkeypatch, core, "apply_symplectic")
+    checks = count_calls(monkeypatch, core, "_check_positive_definite")
+
+    eps, g1, g2 = 0.1, 0.3, 0.2
+    cfg = InterferometerConfig.from_values(eps, g1, g2, n_bar=1.0, theta=0.5)
+    assert reduced_covariance(cfg).pipeline_gap <= 1e-12
+    fisher.fisher_analytic(cfg)
+    fisher.fisher_limit_closed_form(eps, g1, g2, fisher.LIMIT_ZERO)
+    fisher.fisher_limit_closed_form(eps, g1, g2, fisher.LIMIT_INFINITY)
+    assert (len(validations), len(transforms), len(checks)) == (0, 0, 1)
 
 
 class TestBeamSplitter:
@@ -92,6 +226,13 @@ class TestFullOutputCovariance:
             )
             worst = max(worst, gap)
         assert worst <= 1e-12
+
+    def test_two_site_beam_splitter_symplectic_and_orthogonal(self):
+        # checked here once, not by the pipeline on every call
+        s = _TWO_SITE_BEAM_SPLITTER
+        omega = symplectic_form(4)
+        np.testing.assert_allclose(s @ omega @ s.T, omega, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(s @ s.T, np.eye(8), rtol=0, atol=1e-15)
 
     def test_two_site_beam_splitter_constant_read_only(self):
         with pytest.raises(ValueError):
