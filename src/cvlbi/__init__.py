@@ -6,14 +6,13 @@ statistics, Fisher information of the mutual coherence, maximum-likelihood
 benchmarking against the Cramer-Rao bound, and cross-scheme comparison of
 cumulative Fisher information.
 
-Convention: vacuum covariance = identity, orderings xp-interleaved per mode.
+Convention: vacuum covariance = identity, quadratures xp-interleaved per mode.
 """
 
 from .core import (
     CovarianceMatrix,
     NumericalError,
     PhysicalityReport,
-    QuadratureOrdering,
     ValidationError,
     apply_symplectic,
     check_physicality,
@@ -77,7 +76,6 @@ __all__ = [
     "MonteCarloFisher",
     "NumericalError",
     "PhysicalityReport",
-    "QuadratureOrdering",
     "ReducedState",
     "SchemeCurve",
     "SchemeId",

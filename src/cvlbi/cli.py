@@ -162,13 +162,13 @@ def cmd_state(args: argparse.Namespace) -> str:
     }
     if args.format == "csv":
         rows = (
-            (name, cov.ordering.names[i], cov.ordering.names[j], cov.entries[i, j])
+            (name, cov.names[i], cov.names[j], cov.entries[i, j])
             for name, cov in matrices.items()
             for i, j in np.ndindex(cov.entries.shape)
         )
         return csv_dumps(("matrix", "row_label", "col_label", "value"), rows)
     payload = {
-        name: {"ordering": list(cov.ordering.names), "entries": cov.entries.tolist()}
+        name: {"ordering": list(cov.names), "entries": cov.entries.tolist()}
         for name, cov in matrices.items()
     }
     payload["abbreviations"] = dict(zip("abcdef", abbreviations(icfg)))

@@ -1,8 +1,10 @@
-"""Gaussian covariance-matrix substrate: orderings, symplectic transforms, reduction.
+"""Gaussian covariance-matrix substrate: quadrature names, symplectic transforms, reduction.
 
 Conventions fixed here and relied on by every other module:
 
-* quadrature orderings are xp-interleaved per mode, e.g. (x_A1, p_A1, x_B1, p_B1);
+* a covariance matrix carries the names of its quadratures, e.g. ("x_A1", "p_A1");
+  it is a full state when the names are whole modes in xp-interleaved order,
+  e.g. (x_A1, p_A1, x_B1, p_B1), and only a full state has a symplectic form;
 * the vacuum covariance matrix is the identity;
 * the symplectic form is block-diagonal Omega with 2x2 blocks [[0, 1], [-1, 0]];
 * a full-state covariance matrix is physical when V + i*Omega >= 0, tested against
@@ -14,10 +16,10 @@ vacuum = identity.
 
 Validation policy: public constructors validate, and so does ``apply_symplectic``,
 whose matrix is arbitrary. Exact rearrangements (``direct_sum``, ``permute_modes``,
-``reduce``) return fresh read-only copies unchecked, and validate each derived
-ordering once per distinct input. So do the state constructors and the measured
-pipeline: their validated parameters cannot overflow an entry, each entry is placed
-symmetrically, and a test checks the constant beam splitter once.
+``reduce``) check the names they are given and return fresh read-only copies of the
+entries unchecked. The state constructors and the measured pipeline wrap their
+entries unchecked too: their validated parameters cannot overflow an entry, each
+entry is placed symmetrically, and a test checks the constant beam splitter once.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ SYMPLECTIC_TOL = 1e-9
 PHYSICALITY_THRESHOLD = -1e-9
 CONDITION_LIMIT = 1e12
 _MACHINE_EPSILON = float(np.finfo(float).eps)
-
-#: distinct input orderings whose derived orderings the rearrangements remember
-ORDERING_CACHE_SIZE = 64
 
 #: rows of standard normals every sampler draws at a time (512 KB); a record's bits do not
 #: depend on it, a Monte Carlo Fisher sum's last bits do. At 2^14 a Monte Carlo chunk's
@@ -75,129 +74,77 @@ def _check_outcomes(outcomes) -> np.ndarray:
     return m
 
 
-def as_label(label) -> tuple[str, str]:
-    """Normalize a quadrature label to a (mode, quadrature) tuple.
-
-    Accepts ("A1", "x") pairs or "x_A1" strings.
-    """
-    if isinstance(label, str):
-        quad, _, mode = label.partition("_")
-        if not mode or quad not in QUADRATURES:
-            raise ValidationError(f"malformed quadrature label: {label!r}")
-        return (mode, quad)
-    mode, quad = label
-    if quad not in QUADRATURES:
-        raise ValidationError(f"unknown quadrature {quad!r} in label {label!r}")
-    return (str(mode), str(quad))
+def _mode(name) -> str:
+    """The mode of a quadrature name such as ``"x_A1"``; anything else is rejected."""
+    quad, _, mode = name.partition("_") if isinstance(name, str) else ("", "", "")
+    if quad not in QUADRATURES or not mode:
+        raise ValidationError(f"malformed quadrature name: {name!r}")
+    return mode
 
 
-@dataclass(frozen=True)
-class QuadratureOrdering:
-    """Ordered assignment of (mode, quadrature) labels to vector/matrix slots.
+def interleaved(*modes: str) -> tuple[str, ...]:
+    """Names of the full xp-interleaved ordering over ``modes``."""
+    return tuple(f"{q}_{m}" for m in modes for q in QUADRATURES)
 
-    A full ordering carries exactly one x and one p per mode; an ordering marked
-    ``reduced`` is a post-measurement selection and may pick any label subset.
-    """
 
-    labels: tuple
-    reduced: bool = False
+def _is_full(names: tuple) -> bool:
+    """Whether ``names`` are whole modes in xp-interleaved order, the layout Omega assumes."""
+    return len(names) % 2 == 0 and names == interleaved(*map(_mode, names[::2]))
 
-    def __post_init__(self):
-        labels = tuple(as_label(lbl) for lbl in self.labels)
-        object.__setattr__(self, "labels", labels)
-        slots = {lbl: i for i, lbl in enumerate(labels)}
-        if len(slots) != len(labels):
-            raise ValidationError(f"duplicate quadrature labels in {self.names}")
-        object.__setattr__(self, "_slots", slots)
-        if not self.reduced:
-            per_mode: dict[str, set] = {}
-            for mode, quad in labels:
-                per_mode.setdefault(mode, set()).add(quad)
-            bad = sorted(m for m, quads in per_mode.items() if quads != {"x", "p"})
-            if bad:
-                raise ValidationError(
-                    f"full ordering must pair x and p for every mode; incomplete: {bad}"
-                )
 
-    @classmethod
-    def interleaved(cls, *modes: str) -> "QuadratureOrdering":
-        """Full xp-interleaved ordering over the given modes."""
-        return cls(tuple((m, q) for m in modes for q in QUADRATURES))
-
-    @classmethod
-    def selection(cls, labels) -> "QuadratureOrdering":
-        """Reduced ordering over an explicit label list."""
-        return cls(tuple(labels), reduced=True)
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    @property
-    def modes(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for mode, _ in self.labels:
-            if mode not in seen:
-                seen.append(mode)
-        return tuple(seen)
-
-    @property
-    def n_modes(self) -> int:
-        if self.reduced:
-            raise ValidationError("mode count is only defined for full orderings")
-        return self.dim // 2
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f"{q}_{m}" for m, q in self.labels)
-
-    def index(self, label) -> int:
-        lbl = as_label(label)
-        try:
-            return self._slots[lbl]
-        except KeyError:
-            raise ValidationError(f"label {lbl} not in ordering {self.names}") from None
-
-    def is_permutation_of(self, other: "QuadratureOrdering") -> bool:
-        return set(self.labels) == set(other.labels) and self.dim == other.dim
+def _indices(names: tuple, wanted) -> tuple:
+    """The ``np.ix_`` index taking a matrix over ``names`` to one over ``wanted``, in order."""
+    missing = next((name for name in wanted if name not in names), None)
+    if missing is not None:
+        raise ValidationError(f"quadrature {missing!r} not in {names}")
+    if len(set(wanted)) != len(wanted):
+        raise ValidationError(f"duplicate quadrature names in {wanted}")
+    index = [names.index(name) for name in wanted]
+    return np.ix_(index, index)
 
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    """Real symmetric second-moment matrix over an explicit quadrature ordering.
+    """Real symmetric second-moment matrix over named quadratures, e.g. ("x_A1", "p_A1").
 
     Entries are dimensionless quadrature variances with vacuum = 1 on the diagonal.
     The array is stored read-only; instances are immutable and safe to share.
     """
 
-    ordering: QuadratureOrdering
+    names: tuple
     entries: np.ndarray
 
     def __post_init__(self):
+        names = tuple(self.names)
+        for name in names:
+            _mode(name)
+        if len(set(names)) != len(names):
+            raise ValidationError(f"duplicate quadrature names in {names}")
         m = np.array(self.entries, dtype=float)
-        d = self.ordering.dim
+        d = len(names)
         if m.shape != (d, d):
-            raise ValidationError(f"entries shape {m.shape} does not match ordering dim {d}")
+            raise ValidationError(f"entries shape {m.shape} does not match {d} names")
         if not np.isfinite(m).all():
             raise ValidationError("covariance entries must be finite")
         skew = float(np.abs(m - m.T).max(initial=0.0))
         if skew > SYMMETRY_TOL:
             raise ValidationError(f"covariance not symmetric (max |V - V^T| = {skew:.3e})")
         m.flags.writeable = False
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "entries", m)
 
     @classmethod
-    def _derived(cls, ordering: QuadratureOrdering, entries: np.ndarray) -> "CovarianceMatrix":
+    def _derived(cls, names: tuple, entries: np.ndarray) -> "CovarianceMatrix":
         """Wrap, unchecked and made read-only, a fresh array finite and symmetric by
         construction: validated matrices rearranged, or validated parameters placed so."""
         entries.flags.writeable = False
         out = object.__new__(cls)
-        out.__dict__.update(ordering=ordering, entries=entries)
+        out.__dict__.update(names=names, entries=entries)
         return out
 
     @property
     def dim(self) -> int:
-        return self.ordering.dim
+        return len(self.names)
 
 
 @dataclass(frozen=True)
@@ -225,41 +172,28 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-@lru_cache(maxsize=ORDERING_CACHE_SIZE)
-def _sum_ordering(o1: QuadratureOrdering, o2: QuadratureOrdering) -> QuadratureOrdering:
-    common = set(o1.modes) & set(o2.modes)
-    if common:
-        raise ValidationError(f"mode names collide in direct sum: {sorted(common)}")
-    return QuadratureOrdering(o1.labels + o2.labels, reduced=o1.reduced or o2.reduced)
-
-
 def direct_sum(v1: CovarianceMatrix, v2: CovarianceMatrix) -> CovarianceMatrix:
     """Covariance matrix of a product state: block-diagonal over concatenated modes."""
-    ordering = _sum_ordering(v1.ordering, v2.ordering)
-    d1 = v1.dim
-    entries = np.zeros((ordering.dim, ordering.dim))
+    common = set(map(_mode, v1.names)) & set(map(_mode, v2.names))
+    if common:
+        raise ValidationError(f"mode names collide in direct sum: {sorted(common)}")
+    d1, d = v1.dim, v1.dim + v2.dim
+    entries = np.zeros((d, d))
     entries[:d1, :d1] = v1.entries
     entries[d1:, d1:] = v2.entries
-    return CovarianceMatrix._derived(ordering, entries)
+    return CovarianceMatrix._derived(v1.names + v2.names, entries)
 
 
-@lru_cache(maxsize=ORDERING_CACHE_SIZE)
-def _permutation(source: QuadratureOrdering, target: QuadratureOrdering) -> tuple:
-    if not target.is_permutation_of(source):
-        raise ValidationError(
-            f"target ordering {target.names} is not a permutation of {source.names}"
-        )
-    perm = [source.index(lbl) for lbl in target.labels]
-    return np.ix_(perm, perm)
-
-
-def permute_modes(v: CovarianceMatrix, target: QuadratureOrdering) -> CovarianceMatrix:
-    """Reorder a covariance matrix onto a target ordering of the same labels.
+def permute_modes(v: CovarianceMatrix, target) -> CovarianceMatrix:
+    """Reorder a covariance matrix onto ``target``, a reordering of its names.
 
     Equivalent to conjugation by the permutation matrix; exact (pure indexing),
     so permute-then-inverse-permute restores the input bit for bit.
     """
-    return CovarianceMatrix._derived(target, v.entries[_permutation(v.ordering, target)])
+    target = tuple(target)
+    if len(target) != v.dim:
+        raise ValidationError(f"{target} is not a permutation of {v.names}")
+    return CovarianceMatrix._derived(target, v.entries[_indices(v.names, target)])
 
 
 def apply_symplectic(v: CovarianceMatrix, s: np.ndarray) -> CovarianceMatrix:
@@ -269,8 +203,8 @@ def apply_symplectic(v: CovarianceMatrix, s: np.ndarray) -> CovarianceMatrix:
     norm is reported on rejection. The result is symmetrized before return so
     round-off cannot break the symmetry invariant.
     """
-    if v.ordering.reduced:
-        raise ValidationError("symplectic transforms require a full ordering")
+    if not _is_full(v.names):
+        raise ValidationError(f"symplectic transforms need whole interleaved modes: {v.names}")
     s = np.asarray(s, dtype=float)
     d = v.dim
     if s.shape != (d, d):
@@ -283,7 +217,7 @@ def apply_symplectic(v: CovarianceMatrix, s: np.ndarray) -> CovarianceMatrix:
         )
     out = s @ v.entries @ s.T
     out = (out + out.T) / 2.0
-    return CovarianceMatrix(v.ordering, out)
+    return CovarianceMatrix(v.names, out)
 
 
 # Order-13 Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
@@ -327,23 +261,16 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return result
 
 
-@lru_cache(maxsize=ORDERING_CACHE_SIZE)
-def _selection(source: QuadratureOrdering, labels: tuple) -> tuple:
-    idx = [source.index(lbl) for lbl in labels]
-    return QuadratureOrdering.selection(labels), np.ix_(idx, idx)
-
-
 def reduce(v: CovarianceMatrix, keep) -> CovarianceMatrix:
-    """Principal submatrix over the quadrature labels in ``keep``, in that order.
+    """Principal submatrix over the quadrature names in ``keep``, in that order.
 
-    Keeping every label in the original order returns the input unchanged;
-    otherwise the result ordering is marked reduced.
+    Keeping every name in the original order returns the input unchanged. Keeping
+    whole modes in xp-interleaved order gives a full state, the Gaussian marginal.
     """
-    labels = tuple(as_label(lbl) for lbl in keep)
-    if labels == v.ordering.labels:
+    keep = tuple(keep)
+    if keep == v.names:
         return v
-    ordering, index = _selection(v.ordering, labels)
-    return CovarianceMatrix._derived(ordering, v.entries[index])
+    return CovarianceMatrix._derived(keep, v.entries[_indices(v.names, keep)])
 
 
 def _check_positive_definite(entries: np.ndarray, what: str) -> None:
@@ -360,9 +287,9 @@ def _check_positive_definite(entries: np.ndarray, what: str) -> None:
 
 def check_physicality(v: CovarianceMatrix) -> PhysicalityReport:
     """Diagnostic for the uncertainty condition V + i*Omega >= 0 on full states."""
-    if v.ordering.reduced:
-        raise ValidationError("physicality is only defined for full orderings")
-    omega = symplectic_form(v.ordering.n_modes)
+    if not _is_full(v.names):
+        raise ValidationError(f"physicality needs whole interleaved modes: {v.names}")
+    omega = symplectic_form(v.dim // 2)
     herm = v.entries + 1j * omega
     min_eig = float(np.linalg.eigvalsh(herm)[0])
     return PhysicalityReport(min_eig, min_eig >= PHYSICALITY_THRESHOLD)

@@ -156,8 +156,9 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     Rows are Cholesky factor times standard normals, drawn DRAW_CHUNK rows at a
     time from a single seeded generator; the record is deterministic per seed,
     and its bits do not depend on the chunk length.
-    ``seed`` is an int >= 0 or a ``numpy.random.SeedSequence``, such as a child
-    that ``crb_experiment`` spawns; the record's ``seed`` then reads -1.
+    ``seed`` is an int >= 0 or a ``numpy.random.SeedSequence``; the record's
+    ``seed`` then reads -1. Child j of ``SeedSequence(seed).spawn(replications)``
+    reproduces the draws of replication j of ``crb_experiment``.
     """
     _check_integer("shots", shots, 1, MAX_SHOTS)
     spawned = isinstance(seed, np.random.SeedSequence)

@@ -10,7 +10,7 @@ The product state is assembled in (A1, B1, A2, B2) order while the beam splitter
 act on (A1, A2) and (B1, B2) pairs, so an explicit mode permutation sits between
 the two steps. Index arithmetic here is the likeliest way to get this wrong, so the
 permutation and the measured selection are never typed by hand: both index arrays
-are derived once, at import, from the mode labels by the label algebra of ``core``.
+are derived once, at import, from the quadrature names by ``core._indices``.
 
 Both a step-by-step pipeline and the direct closed form of the reduced covariance
 are provided. They agree to 1e-12. The closed form is linear in the coherence,
@@ -27,14 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    CovarianceMatrix,
-    QuadratureOrdering,
-    _check_positive_definite,
-    _permutation,
-    _selection,
-    _sum_ordering,
-)
+from .core import CovarianceMatrix, _check_positive_definite, _indices, interleaved
 from .states import (
     ASTRO_ORDERING,
     TMSV_ORDERING,
@@ -44,16 +37,15 @@ from .states import (
     tmsv_covariance_closed,
 )
 
-#: ordering on which the beam splitters act (telescope-site pairs)
-OUTPUT_ORDERING = QuadratureOrdering.interleaved("A1", "A2", "B1", "B2")
+#: quadratures on which the beam splitters act (telescope-site pairs)
+OUTPUT_ORDERING = interleaved("A1", "A2", "B1", "B2")
 
 #: the measured quadratures: one x and one p per telescope site, from different inputs
-MEASURED_LABELS = (("A1", "x"), ("A2", "p"), ("B1", "x"), ("B2", "p"))
-MEASURED_ORDERING = QuadratureOrdering.selection(MEASURED_LABELS)
+MEASURED_ORDERING = ("x_A1", "p_A2", "x_B1", "p_B2")
 
 #: index arrays: the product's (A1, B1, A2, B2) order to OUTPUT_ORDERING, and the measured set
-_PAIRED = _permutation(_sum_ordering(ASTRO_ORDERING, TMSV_ORDERING), OUTPUT_ORDERING)
-_MEASURED = _selection(OUTPUT_ORDERING, MEASURED_LABELS)[1]
+_PAIRED = _indices(ASTRO_ORDERING + TMSV_ORDERING, OUTPUT_ORDERING)
+_MEASURED = _indices(OUTPUT_ORDERING, MEASURED_ORDERING)
 
 #: where the coherence enters the measured covariance: D_i = (eps / 2) * slots_i
 _G1_SLOTS = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)

@@ -18,20 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CovarianceMatrix,
-    QuadratureOrdering,
-    ValidationError,
-    matrix_exponential,
-)
+from .core import CovarianceMatrix, ValidationError, interleaved, matrix_exponential
 
 # slack on |g|^2 <= 1 so decimal parsing round-off cannot reject boundary inputs
 G_NORM_SLACK = 1e-12
 
 TWO_PI = 2.0 * math.pi
 
-ASTRO_ORDERING = QuadratureOrdering.interleaved("A1", "B1")
-TMSV_ORDERING = QuadratureOrdering.interleaved("A2", "B2")
+ASTRO_ORDERING = interleaved("A1", "B1")
+TMSV_ORDERING = interleaved("A2", "B2")
 
 
 def _check_disk(g1: float, g2: float) -> None:

@@ -32,9 +32,9 @@ import numpy as np
 
 from cvlbi.core import (
     CovarianceMatrix,
-    QuadratureOrdering,
     ValidationError,
     _check_positive_definite,
+    interleaved,
 )
 from cvlbi.interferometer import (
     _G1_SLOTS,
@@ -50,8 +50,8 @@ from cvlbi.states import SourceParams, astronomical_covariance
 
 def vacuum_covariance(*modes: str) -> CovarianceMatrix:
     """Vacuum state on the given modes (identity in this convention)."""
-    ordering = QuadratureOrdering.interleaved(*modes)
-    return CovarianceMatrix(ordering, np.eye(ordering.dim))
+    names = interleaved(*modes)
+    return CovarianceMatrix(names, np.eye(len(names)))
 
 
 def gaussian_log_pdf(v: CovarianceMatrix, xs: np.ndarray) -> np.ndarray:

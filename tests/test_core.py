@@ -10,17 +10,20 @@ from scipy.linalg import expm as scipy_expm
 from cvlbi.core import (
     CovarianceMatrix,
     NumericalError,
-    QuadratureOrdering,
     ValidationError,
     _check_positive_definite,
+    _indices,
+    _is_full,
     apply_symplectic,
     check_physicality,
     direct_sum,
+    interleaved,
     matrix_exponential,
     permute_modes,
     reduce,
     symplectic_form,
 )
+from cvlbi.interferometer import MEASURED_ORDERING, InterferometerConfig, full_output_covariance
 from cvlbi.states import SourceParams, TmsvParams, astronomical_covariance
 
 RNG_SEED = 20240611
@@ -76,24 +79,39 @@ def random_symplectic(rng):
 
 class TestOrdering:
     def test_interleaved_names(self):
-        ordering = QuadratureOrdering.interleaved("A1", "B1")
-        assert ordering.names == ("x_A1", "p_A1", "x_B1", "p_B1")
-        assert ordering.n_modes == 2 and not ordering.reduced
+        names = interleaved("A1", "B1")
+        assert names == ("x_A1", "p_A1", "x_B1", "p_B1")
+        assert _is_full(names)
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValidationError):
-            QuadratureOrdering((("A1", "x"), ("A1", "x")), reduced=True)
+        with pytest.raises(ValidationError, match="duplicate"):
+            CovarianceMatrix(("x_A1", "x_A1"), np.eye(2))
 
     def test_full_ordering_needs_both_quadratrues(self):
+        assert not _is_full(("x_A1", "x_B1"))
         with pytest.raises(ValidationError):
-            QuadratureOrdering((("A1", "x"), ("B1", "x")))
+            check_physicality(CovarianceMatrix(("x_A1", "x_B1"), np.eye(2)))
 
     def test_reduced_selection_allows_subsets(self):
-        sel = QuadratureOrdering.selection(["x_A1", "p_A2"])
-        assert sel.reduced and sel.dim == 2
+        sel = CovarianceMatrix(("x_A1", "p_A2"), np.eye(2))
+        assert sel.dim == 2 and not _is_full(sel.names)
 
-    def test_string_labels_normalized(self):
-        assert QuadratureOrdering(("x_A1", "p_A1")).labels == (("A1", "x"), ("A1", "p"))
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("x_A1", "x_B1", "p_A1", "p_B1"),  # xxpp
+            ("p_A1", "x_A1", "x_B1", "p_B1"),  # p before x
+            ("x_A1", "p_B1", "x_B1", "p_A1"),  # modes split
+            ("x_A1", "p_A1", "x_B1"),  # a half mode
+        ],
+    )
+    def test_only_whole_interleaved_modes_are_full(self, names):
+        assert not _is_full(names)
+
+    @pytest.mark.parametrize("name", [("A1", "x"), "y_A1", "x_", "xA1", "", 1])
+    def test_malformed_names_rejected(self, name):
+        with pytest.raises(ValidationError, match="malformed"):
+            CovarianceMatrix((name,), np.eye(1))
 
 
 class TestSymplecticForm:
@@ -106,14 +124,14 @@ class TestSymplecticForm:
 
 class TestOrderingIndex:
     def test_index_matches_label_position(self):
-        ordering = QuadratureOrdering.interleaved("A1", "B1", "A2", "B2")
-        for slot, (mode, quad) in enumerate(ordering.labels):
-            assert ordering.index((mode, quad)) == slot
-            assert ordering.index(f"{quad}_{mode}") == slot
+        names = interleaved("A1", "B1", "A2", "B2")
+        for slot, name in enumerate(names):
+            rows, cols = _indices(names, [name])
+            assert rows.tolist() == [[slot]] and cols.tolist() == [[slot]]
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValidationError, match="not in ordering"):
-            QuadratureOrdering.interleaved("A1").index("x_B1")
+        with pytest.raises(ValidationError, match="'x_B1' not in"):
+            _indices(interleaved("A1"), ["p_A1", "x_B1", "x_C1"])
 
 
 class TestSymplecticFormCache:
@@ -138,11 +156,11 @@ class TestCovarianceMatrix:
         bad = np.eye(4)
         bad[0, 1] = 1e-6
         with pytest.raises(ValidationError):
-            CovarianceMatrix(QuadratureOrdering.interleaved("A1", "B1"), bad)
+            CovarianceMatrix(interleaved("A1", "B1"), bad)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            CovarianceMatrix(QuadratureOrdering.interleaved("A1"), np.eye(4))
+            CovarianceMatrix(interleaved("A1"), np.eye(4))
 
     def test_entries_read_only(self):
         v = vacuum_covariance("A1")
@@ -154,7 +172,7 @@ class TestDirectSum:
     def test_vacuum_plus_vacuum(self):
         v = direct_sum(vacuum_covariance("A1", "B1"), vacuum_covariance("A2", "B2"))
         assert np.array_equal(v.entries, np.eye(8))
-        assert v.ordering.names[:2] == ("x_A1", "p_A1")
+        assert v.names[:2] == ("x_A1", "p_A1")
 
     def test_thermal_plus_vacuum_block_structure(self):
         v_rho = astronomical_covariance(SourceParams(0.1, 0.0, 0.0))
@@ -171,30 +189,30 @@ class TestDirectSum:
 class TestPermuteModes:
     def test_identity_permutation(self):
         v = vacuum_covariance("A1", "B1")
-        out = permute_modes(v, v.ordering)
+        out = permute_modes(v, v.names)
         assert np.array_equal(out.entries, v.entries)
 
     def test_swap_blocks(self):
         a = np.diag([1.0, 2.0, 3.0, 4.0])
-        v = CovarianceMatrix(QuadratureOrdering.interleaved("A1", "B1"), a)
-        swapped = permute_modes(v, QuadratureOrdering.interleaved("B1", "A1"))
+        v = CovarianceMatrix(interleaved("A1", "B1"), a)
+        swapped = permute_modes(v, interleaved("B1", "A1"))
         assert np.array_equal(swapped.entries, np.diag([3.0, 4.0, 1.0, 2.0]))
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(RNG_SEED)
-        source = QuadratureOrdering.interleaved("A1", "B1", "A2", "B2")
+        source = interleaved("A1", "B1", "A2", "B2")
         for _ in range(50):
             v = CovarianceMatrix(source, random_symmetric(rng, 8))
-            modes = list(source.modes)
+            modes = ["A1", "B1", "A2", "B2"]
             rng.shuffle(modes)
-            target = QuadratureOrdering.interleaved(*modes)
+            target = interleaved(*modes)
             back = permute_modes(permute_modes(v, target), source)
             assert np.array_equal(back.entries, v.entries)
 
     def test_non_permutation_rejected(self):
         v = vacuum_covariance("A1", "B1")
         with pytest.raises(ValidationError):
-            permute_modes(v, QuadratureOrdering.interleaved("A1", "C1"))
+            permute_modes(v, interleaved("A1", "C1"))
 
 
 class TestRearrangementsInheritValidation:
@@ -202,8 +220,8 @@ class TestRearrangementsInheritValidation:
 
     @staticmethod
     def inputs(rng):
-        v1 = CovarianceMatrix(QuadratureOrdering.interleaved("A1", "B1"), random_symmetric(rng, 4))
-        v2 = CovarianceMatrix(QuadratureOrdering.interleaved("A2", "B2"), random_symmetric(rng, 4))
+        v1 = CovarianceMatrix(interleaved("A1", "B1"), random_symmetric(rng, 4))
+        v2 = CovarianceMatrix(interleaved("A2", "B2"), random_symmetric(rng, 4))
         return v1, v2
 
     @staticmethod
@@ -216,14 +234,14 @@ class TestRearrangementsInheritValidation:
 
     def test_results_read_only_and_share_no_memory(self):
         rng = np.random.default_rng(RNG_SEED + 11)
-        target = QuadratureOrdering.interleaved("A1", "A2", "B1", "B2")
+        target = interleaved("A1", "A2", "B1", "B2")
         for _ in range(20):
             v1, v2 = self.inputs(rng)
             product = direct_sum(v1, v2)
             self.assert_fresh_read_only(product, v1, v2)
             paired = permute_modes(product, target)
             self.assert_fresh_read_only(paired, product)
-            same = permute_modes(product, product.ordering)
+            same = permute_modes(product, product.names)
             self.assert_fresh_read_only(same, product)
             reduced = reduce(paired, ["x_A1", "p_A2", "x_B1", "p_B2"])
             self.assert_fresh_read_only(reduced, paired)
@@ -232,17 +250,15 @@ class TestRearrangementsInheritValidation:
         rng = np.random.default_rng(RNG_SEED + 12)
         v1, v2 = self.inputs(rng)
         product = direct_sum(v1, v2)
-        assert product.ordering == QuadratureOrdering(v1.ordering.labels + v2.ordering.labels)
-        target = QuadratureOrdering.interleaved("B2", "A1", "B1", "A2")
-        assert permute_modes(product, target).ordering == target
-        keep = ["p_B2", ("A1", "x"), "x_A2"]
+        assert product.names == CovarianceMatrix(v1.names + v2.names, np.eye(8)).names
+        assert _is_full(product.names)
+        target = interleaved("B2", "A1", "B1", "A2")
+        assert permute_modes(product, target).names == target
+        keep = ["p_B2", "x_A1", "x_A2"]
         reduced = reduce(product, keep)
-        assert reduced.ordering == QuadratureOrdering.selection(keep)
-        assert reduced.ordering.reduced
+        assert reduced.names == tuple(keep) and not _is_full(reduced.names)
         partial = direct_sum(reduced, vacuum_covariance("C1"))
-        assert partial.ordering == QuadratureOrdering(
-            reduced.ordering.labels + (("C1", "x"), ("C1", "p")), reduced=True
-        )
+        assert partial.names == (*keep, "x_C1", "p_C1") and not _is_full(partial.names)
 
     def test_entries_equal_plain_indexing(self):
         rng = np.random.default_rng(RNG_SEED + 13)
@@ -251,8 +267,8 @@ class TestRearrangementsInheritValidation:
         expected = np.zeros((8, 8))
         expected[:4, :4], expected[4:, 4:] = v1.entries, v2.entries
         assert product.entries.tobytes() == expected.tobytes()
-        target = QuadratureOrdering.interleaved("A1", "A2", "B1", "B2")
-        perm = [product.ordering.labels.index(lbl) for lbl in target.labels]
+        target = interleaved("A1", "A2", "B1", "B2")
+        perm = [product.names.index(name) for name in target]
         expected = product.entries[perm][:, perm]
         assert permute_modes(product, target).entries.tobytes() == expected.tobytes()
 
@@ -262,11 +278,13 @@ class TestRearrangementsInheritValidation:
         for _ in range(2):
             with pytest.raises(ValidationError, match="collide"):
                 direct_sum(v1, v1)
+            with pytest.raises(ValidationError, match="'x_C1' not in"):
+                permute_modes(v1, interleaved("A1", "C1"))
             with pytest.raises(ValidationError, match="permutation"):
-                permute_modes(v1, QuadratureOrdering.interleaved("A1", "C1"))
+                permute_modes(v1, interleaved("A1"))
             with pytest.raises(ValidationError, match="duplicate"):
                 reduce(v1, ["x_A1", "x_A1"])
-            with pytest.raises(ValidationError, match="not in ordering"):
+            with pytest.raises(ValidationError, match="'x_C1' not in"):
                 reduce(v1, ["x_C1"])
 
 
@@ -388,33 +406,33 @@ class TestMatrixExponential:
 class TestReduce:
     def test_keep_all_unchanged(self):
         v = vacuum_covariance("A1", "B1")
-        assert reduce(v, v.ordering.labels) is v
+        assert reduce(v, v.names) is v
 
     def test_single_label(self):
         v = astronomical_covariance(SourceParams(0.4, 0.1, 0.0))
         out = reduce(v, ["p_B1"])
-        assert out.ordering.reduced and out.entries.shape == (1, 1)
+        assert out.names == ("p_B1",) and out.entries.shape == (1, 1)
         assert out.entries[0, 0] == v.entries[3, 3]
 
     def test_reduce_commutes_with_permutation(self):
         rng = np.random.default_rng(RNG_SEED + 5)
-        source = QuadratureOrdering.interleaved("A1", "B1", "A2", "B2")
+        source = interleaved("A1", "B1", "A2", "B2")
         for _ in range(50):
             v = CovarianceMatrix(source, random_symmetric(rng, 8))
-            target = QuadratureOrdering.interleaved("B1", "A2", "A1", "B2")
+            target = interleaved("B1", "A2", "A1", "B2")
             permuted = permute_modes(v, target)
             n_keep = int(rng.integers(1, 9))
             keep_idx = rng.choice(8, size=n_keep, replace=False)
-            keep = [target.labels[i] for i in keep_idx]
+            keep = [target[i] for i in keep_idx]
             direct = reduce(permuted, keep)
-            expected = v.entries[np.ix_(
-                [source.index(lbl) for lbl in keep], [source.index(lbl) for lbl in keep]
-            )]
+            slots = [source.index(name) for name in keep]
+            expected = v.entries[np.ix_(slots, slots)]
             assert np.array_equal(direct.entries, expected)
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValidationError):
-            reduce(vacuum_covariance("A1"), ["x_Z9"])
+        for keep in (["x_Z9"], [("A1", "x")], [["A1", "x"]]):
+            with pytest.raises(ValidationError, match="not in"):
+                reduce(vacuum_covariance("A1"), keep)
 
 
 class TestGaussianLogPdf:
@@ -452,13 +470,13 @@ class TestGaussianLogPdf:
 
     def test_singular_rejected(self):
         entries = np.diag([1.0, 1.0, 1.0, 1e-14])
-        v = CovarianceMatrix(QuadratureOrdering.selection(["x_A1", "p_A2", "x_B1", "p_B2"]), entries)
+        v = CovarianceMatrix(MEASURED_ORDERING, entries)
         with pytest.raises(NumericalError, match="condition"):
             gaussian_log_pdf(v, np.zeros((1, 4)))
 
     def test_non_positive_definite_rejected(self):
         entries = np.diag([1.0, 1.0, 1.0, -1.0])
-        v = CovarianceMatrix(QuadratureOrdering.selection(["x_A1", "p_A2", "x_B1", "p_B2"]), entries)
+        v = CovarianceMatrix(MEASURED_ORDERING, entries)
         with pytest.raises(NumericalError, match="positive definite"):
             gaussian_log_pdf(v, np.zeros((1, 4)))
 
@@ -496,11 +514,31 @@ class TestCheckPhysicality:
         assert -1e-9 <= report.min_eigenvalue <= 1e-6
 
     def test_sub_vacuum_fails(self):
-        v = CovarianceMatrix(QuadratureOrdering.interleaved("A1", "B1"), 0.5 * np.eye(4))
+        v = CovarianceMatrix(interleaved("A1", "B1"), 0.5 * np.eye(4))
         report = check_physicality(v)
         assert not report.passed
 
     def test_reduced_rejected(self):
-        v = CovarianceMatrix(QuadratureOrdering.selection(["x_A1", "p_A2"]), np.eye(2))
+        v = CovarianceMatrix(("x_A1", "p_A2"), np.eye(2))
         with pytest.raises(ValidationError):
             check_physicality(v)
+
+    def test_only_whole_interleaved_modes_have_the_form(self):
+        """Omega is block-diagonal only on whole modes in xp-interleaved order.
+
+        A squeezed A1 in (x_A1, x_B1, p_A1, p_B1) order would read as unphysical
+        against that Omega, so the check and the transform reject the order; the
+        marginal over whole interleaved modes is a full state and passes.
+        """
+        r = 0.5
+        squeezed = np.diag([math.exp(2 * r), math.exp(-2 * r), 1.0, 1.0])
+        v = CovarianceMatrix(interleaved("A1", "B1"), squeezed)
+        assert check_physicality(v).passed
+        xxpp = permute_modes(v, ("x_A1", "x_B1", "p_A1", "p_B1"))
+        with pytest.raises(ValidationError, match="interleaved"):
+            check_physicality(xxpp)
+        with pytest.raises(ValidationError, match="interleaved"):
+            apply_symplectic(xxpp, np.eye(4))
+        cfg = InterferometerConfig.from_values(0.3, 0.2, -0.5, n_bar=3.0, theta=1.0)
+        marginal = reduce(full_output_covariance(cfg), interleaved("A1", "A2"))
+        assert check_physicality(marginal).passed

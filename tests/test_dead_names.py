@@ -2,13 +2,16 @@
 
 A name that nothing in ``src/cvlbi`` reads states a fact no code relies on, so it
 can drift from the code that does. Reads by tests do not count; an import does.
-The package's ``__all__`` lists exactly the names its ``__init__`` imports.
+The package's ``__all__`` lists exactly the names its ``__init__`` imports, and
+every function the benchmark traces by name still exists.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "cvlbi"
+REPO_DIR = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = REPO_DIR / "src" / "cvlbi"
 
 
 def _checked(name: str) -> bool:
@@ -102,3 +105,19 @@ def test_finds_an_unread_constant_and_accepts_a_read_one(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import _helper\n")
     assert unread_names(tmp_path) == ["a.UNUSED", "a._TABLE"]
+
+
+def test_every_name_the_benchmark_traces_exists():
+    """``bench/worker.py``'s ``TRACED`` dict, read as a literal without importing the worker."""
+    tree = ast.parse((REPO_DIR / "bench" / "worker.py").read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    ]
+    missing = [
+        f"cvlbi.{module}.{name}"
+        for module, names in traced.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"cvlbi.{module}"), name)
+    ]
+    assert traced and missing == []

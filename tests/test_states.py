@@ -160,7 +160,7 @@ class TestAstronomicalCovariance:
 
     def test_ordering(self):
         v = astronomical_covariance(SourceParams(0.1))
-        assert v.ordering.names == ("x_A1", "p_A1", "x_B1", "p_B1")
+        assert v.names == ("x_A1", "p_A1", "x_B1", "p_B1")
 
     def test_moment_identities_exact(self):
         # the covariance equals exactly twice the single-operator moment matrix
@@ -209,7 +209,7 @@ class TestTmsvCovariance:
 
     def test_ordering(self):
         v = tmsv_covariance_closed(TmsvParams(1.0))
-        assert v.ordering.names == ("x_A2", "p_A2", "x_B2", "p_B2")
+        assert v.names == ("x_A2", "p_A2", "x_B2", "p_B2")
 
     def test_exponential_zero_squeezing(self):
         v = tmsv_covariance_exponential(TmsvParams(0.0, 0.3))
