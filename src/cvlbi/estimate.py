@@ -231,7 +231,7 @@ def _nll_and_grad(model: MeasuredModel, s: np.ndarray, g: np.ndarray):
     v_inv = np.linalg.inv(v)
     values = 0.5 * (logdet + np.trace(v_inv @ s, axis1=1, axis2=2) + 4.0 * LOG_2PI)
     grads = np.empty((len(g), 2))
-    for k, dk in enumerate((model.d1, model.d2)):
+    for k, dk in enumerate(model.d):
         a = v_inv @ dk
         grads[:, k] = 0.5 * (
             np.trace(a, axis1=1, axis2=2) - np.trace(a @ v_inv @ s, axis1=1, axis2=2)

@@ -91,7 +91,7 @@ class MonteCarloFisher:
 def _score_kernel(cfg: InterferometerConfig):
     """L^-1 for the Cholesky factor L of V_r, and both W_i in eigen form: (U, E, tr W)."""
     li = np.linalg.inv(np.linalg.cholesky(cfg.measured_covariance))
-    (lam1, q1), (lam2, q2) = (np.linalg.eigh(li @ d @ li.T) for d in (cfg.model.d1, cfg.model.d2))
+    (lam1, q1), (lam2, q2) = (np.linalg.eigh(li @ d @ li.T) for d in cfg.model.d)
     e = np.zeros((2, 8))
     e[0, :4], e[1, 4:] = lam1, lam2
     traces = np.array([[lam1.sum()], [lam2.sum()]])
@@ -124,12 +124,11 @@ def score_vectors(cfg: InterferometerConfig, outcomes: np.ndarray) -> np.ndarray
 
 
 def fisher_analytic(cfg: InterferometerConfig) -> FisherMatrix:
-    """Fisher information from the Gaussian trace identity; exact for any n_bar."""
-    v = cfg.measured_covariance
-    a1, a2 = np.linalg.solve(v, np.stack((cfg.model.d1, cfg.model.d2)))
-    f11 = 0.5 * float(np.trace(a1 @ a1))
-    f22 = 0.5 * float(np.trace(a2 @ a2))
-    f12 = 0.5 * float(np.trace(a1 @ a2))
+    """Fisher information from the Gaussian trace identity; exact for any n_bar.
+
+    One stacked solve gives both A_i = V^-1 D_i; one stacked product gives A_i A_j."""
+    a = np.linalg.solve(cfg.measured_covariance, cfg.model.d)
+    f11, f22, f12 = 0.5 * np.trace(a[[0, 1, 0]] @ a[[0, 1, 1]], axis1=1, axis2=2)
     return FisherMatrix(np.array([[f11, f12], [f12, f22]]))
 
 
@@ -211,7 +210,7 @@ def fisher_limit_closed_form(
         base = 1.0 + 2.0 * eps
     else:
         raise ValidationError(f"unknown limit {which!r}; use {LIMIT_ZERO!r} or {LIMIT_INFINITY!r}")
-    diag_plus = base + (1.0 + g1 * g1 - g2 * g2) * eps_sq
-    diag_minus = base + (1.0 - g1 * g1 + g2 * g2) * eps_sq
-    off = 2.0 * g1 * g2 * eps_sq
-    return FisherMatrix(prefactor * np.array([[diag_plus, off], [off, diag_minus]]))
+    diag_plus = prefactor * (base + (1.0 + g1 * g1 - g2 * g2) * eps_sq)
+    diag_minus = prefactor * (base + (1.0 - g1 * g1 + g2 * g2) * eps_sq)
+    off = prefactor * (2.0 * g1 * g2 * eps_sq)
+    return FisherMatrix(np.array([[diag_plus, off], [off, diag_minus]]))

@@ -9,14 +9,15 @@ returned here.
 The product state is assembled in (A1, B1, A2, B2) order while the beam splitters
 act on (A1, A2) and (B1, B2) pairs, so an explicit mode permutation sits between
 the two steps. Index arithmetic here is the likeliest way to get this wrong, so the
-permutation and the measured selection are never typed by hand: both index arrays
-are derived once, at import, from the quadrature names by ``core._indices``.
+permutation and the measured selection are never typed by hand: both are derived at
+import from the quadrature names by ``core._indices`` and then made flat gathers.
 
 Both a step-by-step pipeline and the direct closed form of the reduced covariance
 are provided. They agree to 1e-12. The closed form is linear in the coherence,
 V_r(g) = V_0 + g1 D1 + g2 D2; ``MeasuredModel`` holds V_0, D1 and D2 and is what
-downstream consumers (Fisher information, scores, sampling, likelihood) use. The
-pipeline result is recorded alongside for verification.
+downstream consumers (Fisher information, scores, sampling, likelihood) use. V_r
+itself is formed once per config, for the closed form and ``measured_covariance``
+alike. The pipeline result is recorded alongside for verification.
 """
 
 from __future__ import annotations
@@ -46,10 +47,15 @@ MEASURED_ORDERING = ("x_A1", "p_A2", "x_B1", "p_B2")
 #: index arrays: the product's (A1, B1, A2, B2) order to OUTPUT_ORDERING, and the measured set
 _PAIRED = _indices(ASTRO_ORDERING + TMSV_ORDERING, OUTPUT_ORDERING)
 _MEASURED = _indices(OUTPUT_ORDERING, MEASURED_ORDERING)
+#: both as flat gathers: from (astro entries, TMSV entries, 0) and from the 8x8's entries
+_PRODUCT = np.full((8, 8), 32)  # where each entry of the product sits in that vector
+_PRODUCT[:4, :4], _PRODUCT[4:, 4:] = np.arange(32).reshape(2, 4, 4)
+_PAIRED_FLAT = _PRODUCT[_PAIRED]
+_MEASURED_FLAT = np.arange(64).reshape(8, 8)[_MEASURED]
 
 #: where the coherence enters the measured covariance: D_i = (eps / 2) * slots_i
-_G1_SLOTS = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
-_G2_SLOTS = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
+_SLOTS = np.array([[[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+                   [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -65,12 +71,17 @@ class InterferometerConfig:
         return MeasuredModel.from_config(self)
 
     @cached_property
-    def measured_covariance(self) -> np.ndarray:
-        """V_r at the config's coherence, read-only, checked positive definite once."""
+    def _v_r(self) -> np.ndarray:
+        """V_r at the config's coherence, read-only and unchecked; formed once."""
         v = self.model.covariance(self.source.g1, self.source.g2)
-        _check_positive_definite(v, "measured covariance")
         v.flags.writeable = False
         return v
+
+    @cached_property
+    def measured_covariance(self) -> np.ndarray:
+        """V_r at the config's coherence, read-only, checked positive definite once."""
+        _check_positive_definite(self._v_r, "measured covariance")
+        return self._v_r
 
     @classmethod
     def from_values(
@@ -122,10 +133,10 @@ def abbreviations(cfg: InterferometerConfig) -> tuple[float, float, float, float
 
 def full_output_covariance(cfg: InterferometerConfig) -> CovarianceMatrix:
     """Post-beam-splitter covariance on (A1, A2, B1, B2): product state, permutation, S V S^T."""
-    product = np.zeros((8, 8))
-    product[:4, :4] = astronomical_covariance(cfg.source).entries
-    product[4:, 4:] = tmsv_covariance_closed(cfg.resource).entries
-    out = _TWO_SITE_BEAM_SPLITTER @ product[_PAIRED] @ _TWO_SITE_BEAM_SPLITTER.T
+    astro = astronomical_covariance(cfg.source).entries
+    tmsv = tmsv_covariance_closed(cfg.resource).entries
+    product = np.concatenate((astro.ravel(), tmsv.ravel(), [0.0])).take(_PAIRED_FLAT)
+    out = _TWO_SITE_BEAM_SPLITTER @ product @ _TWO_SITE_BEAM_SPLITTER.T
     return CovarianceMatrix._derived(OUTPUT_ORDERING, (out + out.T) / 2.0)  # as apply_symplectic
 
 
@@ -133,13 +144,13 @@ def full_output_covariance(cfg: InterferometerConfig) -> CovarianceMatrix:
 class MeasuredModel:
     """Measured covariance over (x_A1, p_A2, x_B1, p_B2) as V_0 + g1 D1 + g2 D2.
 
-    V_0 carries the source flux and the resource; D1 and D2 are the exact,
-    constant derivatives dV_r/dg1 and dV_r/dg2. The arrays are read-only.
+    V_0 carries the source flux and the resource; ``d`` (2x4x4) stacks the exact,
+    constant derivatives dV_r/dg1 and dV_r/dg2, whose views are ``d1`` and ``d2``.
+    The arrays are read-only.
     """
 
     v0: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
+    d: np.ndarray
 
     @classmethod
     def from_config(cls, cfg: InterferometerConfig) -> "MeasuredModel":
@@ -147,24 +158,24 @@ class MeasuredModel:
         a, b, _, d, _, f = abbreviations(cfg)
         s = a + b
         v0 = 0.5 * np.array([[s, 0.0, d, f], [0.0, s, f, -d], [d, f, s, 0.0], [f, -d, 0.0, s]])
-        half_eps = 0.5 * cfg.source.epsilon
-        arrays = (v0, half_eps * _G1_SLOTS, half_eps * _G2_SLOTS)
-        for array in arrays:
-            array.flags.writeable = False
-        return cls(*arrays)
+        d = 0.5 * cfg.source.epsilon * _SLOTS
+        v0.flags.writeable = d.flags.writeable = False
+        return cls(v0, d)
+
+    d1 = property(lambda self: self.d[0])
+    d2 = property(lambda self: self.d[1])
 
     def covariance(self, g1, g2) -> np.ndarray:
         """V_r at coherence (g1, g2); the caller is responsible for |g| <= 1.
 
         g1 and g2 may be arrays of shape (n, 1, 1), giving a stack of n matrices.
         """
-        return self.v0 + g1 * self.d1 + g2 * self.d2
+        return self.v0 + g1 * self.d[0] + g2 * self.d[1]
 
 
 def reduced_covariance_closed(cfg: InterferometerConfig) -> CovarianceMatrix:
     """Measured-quadrature covariance over (x_A1, p_A2, x_B1, p_B2), closed form."""
-    entries = cfg.model.covariance(cfg.source.g1, cfg.source.g2)
-    return CovarianceMatrix._derived(MEASURED_ORDERING, entries)  # sums of symmetric arrays
+    return CovarianceMatrix._derived(MEASURED_ORDERING, cfg._v_r)  # sums of symmetric arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,11 +195,11 @@ class ReducedState:
     @cached_property
     def pipeline_gap(self) -> float:
         """Largest entrywise difference between the two construction routes."""
-        return float(np.max(np.abs(self.v_r.entries - self.v_r_pipeline.entries)))
+        return float(np.abs(self.v_r.entries - self.v_r_pipeline.entries).max())
 
 
 def reduced_covariance(cfg: InterferometerConfig) -> ReducedState:
     """Run the pipeline, reduce to the measured quadratures, and pair with the closed form."""
     full = full_output_covariance(cfg)
-    pipeline = CovarianceMatrix._derived(MEASURED_ORDERING, full.entries[_MEASURED])
+    pipeline = CovarianceMatrix._derived(MEASURED_ORDERING, full.entries.take(_MEASURED_FLAT))
     return ReducedState(reduced_covariance_closed(cfg), pipeline, full)

@@ -37,8 +37,7 @@ from cvlbi.core import (
     interleaved,
 )
 from cvlbi.interferometer import (
-    _G1_SLOTS,
-    _G2_SLOTS,
+    _SLOTS,
     OUTPUT_ORDERING,
     InterferometerConfig,
     MeasuredModel,
@@ -102,7 +101,7 @@ def full_output_covariance_closed(cfg: InterferometerConfig) -> CovarianceMatrix
 
 # V_r = alpha I + sqrt(n (n + 1)) (cos(theta) A + sin(theta) B) + gamma (g1 G1 + g2 G2) on
 # (x_A1, p_A2, x_B1, p_B2), with alpha = 1 + n + gamma, gamma = eps / 2, A = sx (x) sz,
-# B = sx (x) sx, G1 = sx (x) I and G2 = -sy (x) sy (the package's _G1_SLOTS, _G2_SLOTS).
+# B = sx (x) sx, G1 = sx (x) I and G2 = -sy (x) sy (the package's _SLOTS).
 # A and B commute with G1 and G2, so V_r splits into two 2x2 blocks C_+ and C_-, in a
 # basis that depends on theta alone, with C_s = beta_s I + gamma (g1 tau1 + g2 tau2).
 _A = np.array([[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
@@ -215,7 +214,7 @@ def fisher_decimal(eps: float, g1: float, g2: float, n_bar: float) -> np.ndarray
         ctx.prec = 50
         eps, g1, g2, n = map(Decimal, (eps, g1, g2, n_bar))
         gamma, root = eps / 2, (n * (n + 1)).sqrt()
-        a, s1, s2 = (m.astype(int).tolist() for m in (_A, _G1_SLOTS, _G2_SLOTS))
+        a, s1, s2 = (m.astype(int).tolist() for m in (_A, *_SLOTS))
         v = [
             [(1 + n + gamma) * (i == j) + root * a[i][j] + gamma * (g1 * s1[i][j] + g2 * s2[i][j])
              for j in range(4)]
@@ -241,9 +240,8 @@ def fisher_decimal(eps: float, g1: float, g2: float, n_bar: float) -> np.ndarray
 def _linear_terms(model: MeasuredModel):
     """A_k = V_0^-1 D_k V_0^-1 / 2 (2 x 4 x 4), F(0) with F(0)_kl = tr(A_k D_l), and tr(A_k V_0)."""
     v0_inv = np.linalg.inv(model.v0)
-    d = np.stack([model.d1, model.d2])
-    a = 0.5 * v0_inv @ d @ v0_inv
-    return a, np.einsum("kij,lji->kl", a, d), np.einsum("kij,ji->k", a, model.v0)
+    a = 0.5 * v0_inv @ model.d @ v0_inv
+    return a, np.einsum("kij,lji->kl", a, model.d), np.einsum("kij,ji->k", a, model.v0)
 
 
 def linear_estimate(model: MeasuredModel, moments: np.ndarray) -> np.ndarray:

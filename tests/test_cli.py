@@ -348,10 +348,13 @@ class TestRoundTrips:
 
 class TestExitCodes:
     def test_numerical_failure_exits_3(self, capsys):
-        # extreme squeezing drives the measured covariance past the condition limit
+        # extreme squeezing drives the measured covariance past the condition limit;
+        # state never checks it, so it still reports the covariance
         code, _, err = run_cli(capsys, "fisher", "--n-bar", "1e13")
         assert code == 3
-        assert "singular" in err
+        assert "numerically singular" in err
+        code, out, _ = run_cli(capsys, "state", "--n-bar", "1e13")
+        assert code == 0 and out
 
     def test_capped_fits_warn_and_exit_0(self, capsys, monkeypatch):
         import cvlbi.estimate as estimate_module

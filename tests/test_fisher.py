@@ -262,6 +262,22 @@ class TestFisherAnalytic:
             f = fisher_analytic(random_config(rng))
             assert np.linalg.eigvalsh(f.entries)[0] >= -1e-9
 
+    def test_stacked_route_equals_per_derivative_route_bits(self):
+        # the reference route: one solve per D_i and 0.5 tr(A_i A_j) per entry
+        rng = np.random.default_rng(RNG_SEED + 9)
+        for _ in range(1000):
+            phase, mag = rng.uniform(0, 2 * np.pi), math.sqrt(rng.uniform(0, 1))
+            cfg = InterferometerConfig.from_values(
+                10.0 ** rng.uniform(-4, 0), mag * math.cos(phase), mag * math.sin(phase),
+                n_bar=10.0 ** rng.uniform(-6, 4), theta=rng.uniform(0, 2 * np.pi),
+            )
+            v = cfg.measured_covariance
+            a1, a2 = (np.linalg.solve(v, d) for d in (cfg.model.d1, cfg.model.d2))
+            f11, f22, f12 = (0.5 * float(np.trace(x @ y))
+                             for x, y in ((a1, a1), (a2, a2), (a1, a2)))
+            expected = np.array([[f11, f12], [f12, f22]])
+            assert fisher_analytic(cfg).entries.tobytes() == expected.tobytes()
+
     def test_monotone_in_squeezing_on_grid(self):
         for eps, g1, g2 in ((0.1, 0.0, 0.0), (0.1, 0.3, 0.4), (0.05, 0.9, 0.0)):
             diag_values = []

@@ -21,6 +21,8 @@ from cvlbi.interferometer import (
     MEASURED_ORDERING,
     OUTPUT_ORDERING,
     MeasuredModel,
+    _MEASURED,
+    _PAIRED,
     _TWO_SITE_BEAM_SPLITTER,
     abbreviations,
     beam_splitter_matrix,
@@ -126,15 +128,21 @@ class TestCornerMatrices:
                 CovarianceMatrix(v.names, m)
 
 
-def count_calls(monkeypatch, home, name: str) -> list:
-    """Count calls of ``home.name`` from every cvlbi module that holds it."""
-    calls = []
-    original = getattr(home, name)
+def counting(original, calls: list):
+    """``original``, appending the positional arguments of each call to ``calls``."""
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    return counted
+
+
+def count_calls(monkeypatch, home, name: str) -> list:
+    """Count calls of ``home.name`` from every cvlbi module that holds it."""
+    calls = []
+    original = getattr(home, name)
+    counted = counting(original, calls)
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "cvlbi" and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
@@ -143,7 +151,7 @@ def count_calls(monkeypatch, home, name: str) -> list:
 
 def test_sweep_path_work_count(monkeypatch):
     """One config through state plus fisher: no validating covariance, no general
-    symplectic transform, and exactly one check of V_r."""
+    symplectic transform, exactly one check of V_r, one V_r formed and one solve."""
     validations = []
     post_init = CovarianceMatrix.__post_init__
 
@@ -154,6 +162,9 @@ def test_sweep_path_work_count(monkeypatch):
     monkeypatch.setattr(CovarianceMatrix, "__post_init__", counted_post_init)
     transforms = count_calls(monkeypatch, core, "apply_symplectic")
     checks = count_calls(monkeypatch, core, "_check_positive_definite")
+    formed, solves = [], []
+    monkeypatch.setattr(MeasuredModel, "covariance", counting(MeasuredModel.covariance, formed))
+    monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve, solves))
 
     eps, g1, g2 = 0.1, 0.3, 0.2
     cfg = InterferometerConfig.from_values(eps, g1, g2, n_bar=1.0, theta=0.5)
@@ -162,6 +173,7 @@ def test_sweep_path_work_count(monkeypatch):
     fisher.fisher_limit_closed_form(eps, g1, g2, fisher.LIMIT_ZERO)
     fisher.fisher_limit_closed_form(eps, g1, g2, fisher.LIMIT_INFINITY)
     assert (len(validations), len(transforms), len(checks)) == (0, 0, 1)
+    assert (len(formed), len(solves)) == (1, 1)
 
 
 class TestBeamSplitter:
@@ -238,6 +250,20 @@ class TestFullOutputCovariance:
         expected = np.zeros((8, 8))
         expected[:4, :4] = expected[4:, 4:] = beam_splitter_matrix()
         assert _TWO_SITE_BEAM_SPLITTER.tobytes() == expected.tobytes()
+
+    def test_flat_gather_equals_block_assembly_bits(self):
+        # the reference route: zeros, the two input blocks, then the np.ix_ permutation
+        rng = np.random.default_rng(RNG_SEED + 8)
+        for _ in range(1000):
+            cfg = wide_config(rng)
+            product = np.zeros((8, 8))
+            product[:4, :4] = astronomical_covariance(cfg.source).entries
+            product[4:, 4:] = tmsv_covariance_closed(cfg.resource).entries
+            out = _TWO_SITE_BEAM_SPLITTER @ product[_PAIRED] @ _TWO_SITE_BEAM_SPLITTER.T
+            full = full_output_covariance(cfg).entries
+            assert full.tobytes() == ((out + out.T) / 2.0).tobytes()
+            measured = reduced_covariance(cfg).v_r_pipeline.entries
+            assert measured.tobytes() == full[_MEASURED].tobytes()
 
     def test_output_physical(self):
         from cvlbi.core import check_physicality
@@ -333,7 +359,7 @@ class TestMeasuredModel:
 
     def test_arrays_read_only(self):
         model = MeasuredModel.from_config(InterferometerConfig.from_values(0.1))
-        for array in (model.v0, model.d1, model.d2):
+        for array in (model.v0, model.d, model.d1, model.d2):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
