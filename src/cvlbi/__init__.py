@@ -41,7 +41,6 @@ from .fisher import (
 )
 from .interferometer import (
     InterferometerConfig,
-    MeasuredModel,
     ReducedState,
     beam_splitter_matrix,
     full_output_covariance,
@@ -70,7 +69,6 @@ __all__ = [
     "EstimateResult",
     "FisherMatrix",
     "InterferometerConfig",
-    "MeasuredModel",
     "MeasurementRecord",
     "MleResult",
     "MonteCarloFisher",

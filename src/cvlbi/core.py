@@ -149,11 +149,10 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True)
 class PhysicalityReport:
-    """Minimum eigenvalue of V + i*Omega and the pass/fail verdict."""
+    """Minimum eigenvalue of V + i*Omega and the pass/fail verdict at PHYSICALITY_THRESHOLD."""
 
     min_eigenvalue: float
     passed: bool
-    threshold: float = PHYSICALITY_THRESHOLD
 
 
 @lru_cache(maxsize=16)

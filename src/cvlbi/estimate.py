@@ -6,15 +6,16 @@ with the remaining parameters (epsilon, n_bar, theta) treated as known, and the
 spread of the estimator across replications is compared against the Cramer-Rao
 bound F^-1 / M.
 
-The likelihood and its gradient depend on the data only through the empirical
-second-moment matrix, so each optimizer step costs a few 4x4 operations no
-matter how many shots a record holds, and the CRB experiment keeps only the
-second moment of each record, drawn on a thread pool from its own spawned seed,
-so no result depends on the thread count. Its replications are fitted in
-lockstep by one projected BFGS over arrays, a row per start of each replication:
-each round evaluates the pending points of all rows, boundary-polish points on
-the unit circle included, in one stacked 4x4 likelihood call, with the same bits
-as fitting the records one by one.
+Records are drawn with the config's Cholesky factor of V_r. The likelihood and
+its gradient read the config's V_0, D1 and D2 and depend on the data only through
+the empirical second-moment matrix, so each optimizer step costs a few 4x4
+operations no matter how many shots a record holds, and the CRB experiment keeps
+only the second moment of each record, drawn on a thread pool from its own
+spawned seed, so no result depends on the thread count. Its replications are
+fitted in lockstep by one projected BFGS over arrays, a row per start of each
+replication: each round evaluates the pending points of all rows, boundary-polish
+points on the unit circle included, in one stacked 4x4 likelihood call, with the
+same bits as fitting the records one by one.
 Replication seeds are spawned from the master seed with
 ``numpy.random.SeedSequence``, making multi-replication runs reproducible
 across machines. The choice of maximum likelihood is this package's, it is
@@ -33,7 +34,7 @@ import numpy as np
 
 from .core import DRAW_CHUNK, _check_integer, _check_outcomes
 from .fisher import fisher_analytic
-from .interferometer import InterferometerConfig, MeasuredModel
+from .interferometer import InterferometerConfig
 from .states import _check_disk
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -58,16 +59,26 @@ EFFICIENCY_WINDOW = (0.8, 1.5)
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """M homodyne shots over (x_A1, p_A2, x_B1, p_B2) plus their provenance."""
+    """M homodyne shots over (x_A1, p_A2, x_B1, p_B2), held as a read-only copy of the
+    outcomes given, plus their provenance."""
 
     outcomes: np.ndarray
     seed: int
     config: InterferometerConfig
 
     def __post_init__(self):
-        m = _check_outcomes(self.outcomes)
+        m = _check_outcomes(np.array(self.outcomes, dtype=float))
         m.flags.writeable = False
         object.__setattr__(self, "outcomes", m)
+
+    @classmethod
+    def _drawn(cls, outcomes: np.ndarray, seed: int, config) -> "MeasurementRecord":
+        """Wrap, uncopied, unchecked and made read-only, a fresh array of outcomes drawn
+        from a checked V_r, so finite: a record at MAX_SHOTS then holds one buffer."""
+        outcomes.flags.writeable = False
+        out = object.__new__(cls)
+        out.__dict__.update(outcomes=outcomes, seed=seed, config=config)
+        return out
 
     @property
     def shots(self) -> int:
@@ -164,9 +175,8 @@ def sample_records(cfg: InterferometerConfig, shots: int, seed) -> MeasurementRe
     spawned = isinstance(seed, np.random.SeedSequence)
     if not spawned:
         _check_integer("seed", seed, 0)
-    chol = np.linalg.cholesky(cfg.measured_covariance)
-    out = _draw_outcomes(chol, seed, np.empty((shots, 4)))
-    return MeasurementRecord(outcomes=out, seed=-1 if spawned else int(seed), config=cfg)
+    out = _draw_outcomes(cfg.cholesky, seed, np.empty((shots, 4)))
+    return MeasurementRecord._drawn(out, -1 if spawned else int(seed), cfg)
 
 
 def _draw_outcomes(chol: np.ndarray, seed, out: np.ndarray) -> np.ndarray:
@@ -216,7 +226,7 @@ def _second_moments(chol: np.ndarray, shots: int, seeds) -> np.ndarray:
         return np.stack([m for block in pool.map(draw_block, range(workers)) for m in block])
 
 
-def _nll_and_grad(model: MeasuredModel, s: np.ndarray, g: np.ndarray):
+def _nll_and_grad(cfg: InterferometerConfig, s: np.ndarray, g: np.ndarray):
     """Per-shot negative log-likelihood and its gradient in (g1, g2), row by row.
 
     Row i takes the second moment s[i] (n x 4 x 4) at the coherence g[i] (n x 2):
@@ -225,13 +235,13 @@ def _nll_and_grad(model: MeasuredModel, s: np.ndarray, g: np.ndarray):
     grads[n, 2]). The stacked LAPACK and BLAS calls give every row the bits of
     the one-matrix call, so how points are batched never changes a result.
     """
-    v = model.covariance(g[:, 0, None, None], g[:, 1, None, None])
+    v = cfg.covariance(g[:, 0, None, None], g[:, 1, None, None])
     chol = np.linalg.cholesky(v)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
     v_inv = np.linalg.inv(v)
     values = 0.5 * (logdet + np.trace(v_inv @ s, axis1=1, axis2=2) + 4.0 * LOG_2PI)
     grads = np.empty((len(g), 2))
-    for k, dk in enumerate(model.d):
+    for k, dk in enumerate(cfg.d):
         a = v_inv @ dk
         grads[:, k] = 0.5 * (
             np.trace(a, axis1=1, axis2=2) - np.trace(a @ v_inv @ s, axis1=1, axis2=2)
@@ -242,18 +252,14 @@ def _nll_and_grad(model: MeasuredModel, s: np.ndarray, g: np.ndarray):
 def log_likelihood(record: MeasurementRecord, g1: float, g2: float) -> float:
     """Total log-likelihood of the record at coherence (g1, g2); |g| <= 1 required."""
     _check_disk(g1, g2)
-    values, _ = _nll_and_grad(
-        record.config.model, record.second_moment[None], np.array([[g1, g2]])
-    )
+    values, _ = _nll_and_grad(record.config, record.second_moment[None], np.array([[g1, g2]]))
     return -record.shots * float(values[0])
 
 
 def log_likelihood_gradient(record: MeasurementRecord, g1: float, g2: float) -> np.ndarray:
     """Gradient of the total log-likelihood in (g1, g2)."""
     _check_disk(g1, g2)
-    _, grads = _nll_and_grad(
-        record.config.model, record.second_moment[None], np.array([[g1, g2]])
-    )
+    _, grads = _nll_and_grad(record.config, record.second_moment[None], np.array([[g1, g2]]))
     return -record.shots * grads[0]
 
 
@@ -387,7 +393,7 @@ def _mle_lockstep(
     A run still going after MAX_ITERATIONS (read at call time) ends there
     ("capped"); per record the lower final value wins, the first start on a tie.
     """
-    model, max_iterations = cfg.model, MAX_ITERATIONS
+    max_iterations = MAX_ITERATIONS
     starts = _moment_starts(moments, cfg.source.epsilon)
     second = ~(np.sqrt(np.vecdot(starts, starts)) < 1e-12)
     n_starts = 1 + second
@@ -396,7 +402,7 @@ def _mle_lockstep(
     n = len(owner)
     x = np.zeros((n, 2))
     x[first[second] + 1] = starts[second]
-    f, grad = _nll_and_grad(model, moments[owner], x)
+    f, grad = _nll_and_grad(cfg, moments[owner], x)
     h = np.tile(np.eye(2), (n, 1, 1))
     direction, step = np.empty((n, 2)), np.ones(n)
     pg_norm, iterations = np.empty(n), np.zeros(n, dtype=int)
@@ -446,7 +452,7 @@ def _mle_lockstep(
         if polish:
             rows = np.concatenate([search, list(polish)])
             points = np.concatenate([candidates, [point for _, point in polish.values()]])
-        values, grads = _nll_and_grad(model, moments[owner[rows]], points)
+        values, grads = _nll_and_grad(cfg, moments[owner[rows]], points)
 
         moved = []
         m = len(search)
@@ -532,8 +538,7 @@ def crb_experiment(
     _check_integer("replications", replications, MIN_REPLICATIONS, MAX_REPLICATIONS)
     _check_integer("shots", shots, 1, MAX_SHOTS)
     _check_integer("seed", seed, 0)
-    chol = np.linalg.cholesky(cfg.measured_covariance)
-    moments = _second_moments(chol, shots, np.random.SeedSequence(seed).spawn(replications))
+    moments = _second_moments(cfg.cholesky, shots, np.random.SeedSequence(seed).spawn(replications))
     fits = _mle_lockstep(cfg, moments, shots)
     estimates = np.array([fit.g for fit in fits])
 

@@ -9,9 +9,10 @@ Three routes are implemented and cross-validated:
 * ``fisher_limit_closed_form``: the zero-squeezing and infinite-squeezing limit
   matrices, used as oracles for the analytic route.
 
-Scores use whitened coordinates: with L the Cholesky factor of V_r, z = L^-1 x and
-W_i = L^-1 D_i L^-T, the score (x^T V^-1 D_i V^-1 x - tr V^-1 D_i) / 2 of an
-outcome x equals (z^T W_i z - tr W_i) / 2. Both kernels are held in eigen form,
+The analytic route and the scores read V_r, its derivatives D_i and its Cholesky
+factor L from the config, which builds each once. Scores use whitened coordinates:
+with z = L^-1 x and W_i = L^-1 D_i L^-T, the score (x^T V^-1 D_i V^-1 x - tr V^-1 D_i) / 2
+of an outcome x equals (z^T W_i z - tr W_i) / 2. Both kernels are held in eigen form,
 W_i = Q_i diag(lambda_i) Q_i^T: the rows of U (8x4) are the eigenvectors of W_1
 then W_2, and E (2x8) carries lambda_1 in row 0, columns 0-3, and lambda_2 in row 1,
 columns 4-7. For whitened columns Z (4xm) both scores are then the rows of
@@ -90,8 +91,8 @@ class MonteCarloFisher:
 
 def _score_kernel(cfg: InterferometerConfig):
     """L^-1 for the Cholesky factor L of V_r, and both W_i in eigen form: (U, E, tr W)."""
-    li = np.linalg.inv(np.linalg.cholesky(cfg.measured_covariance))
-    (lam1, q1), (lam2, q2) = (np.linalg.eigh(li @ d @ li.T) for d in cfg.model.d)
+    li = np.linalg.inv(cfg.cholesky)
+    (lam1, q1), (lam2, q2) = (np.linalg.eigh(li @ d @ li.T) for d in cfg.d)
     e = np.zeros((2, 8))
     e[0, :4], e[1, 4:] = lam1, lam2
     traces = np.array([[lam1.sum()], [lam2.sum()]])
@@ -115,10 +116,9 @@ def _scores(kernel, z: np.ndarray) -> np.ndarray:
 def score_vectors(cfg: InterferometerConfig, outcomes: np.ndarray) -> np.ndarray:
     """Analytic scores d(log P)/d(g1, g2) per outcome row; shape (M, 2).
 
-    ``outcomes`` is an (M >= 1) x 4 array of finite values, or one row of 4.
+    ``outcomes`` is an (M >= 1) x 4 array of finite values.
     """
-    outcomes = np.asarray(outcomes, dtype=float)
-    rows = _check_outcomes(outcomes[None, :] if outcomes.shape == (4,) else outcomes)
+    rows = _check_outcomes(outcomes)
     li, kernel = _score_kernel(cfg)
     return _scores(kernel, li @ rows.T).T
 
@@ -127,7 +127,7 @@ def fisher_analytic(cfg: InterferometerConfig) -> FisherMatrix:
     """Fisher information from the Gaussian trace identity; exact for any n_bar.
 
     One stacked solve gives both A_i = V^-1 D_i; one stacked product gives A_i A_j."""
-    a = np.linalg.solve(cfg.measured_covariance, cfg.model.d)
+    a = np.linalg.solve(cfg.measured_covariance, cfg.d)
     f11, f22, f12 = 0.5 * np.trace(a[[0, 1, 0]] @ a[[0, 1, 1]], axis1=1, axis2=2)
     return FisherMatrix(np.array([[f11, f12], [f12, f22]]))
 

@@ -14,10 +14,10 @@ import from the quadrature names by ``core._indices`` and then made flat gathers
 
 Both a step-by-step pipeline and the direct closed form of the reduced covariance
 are provided. They agree to 1e-12. The closed form is linear in the coherence,
-V_r(g) = V_0 + g1 D1 + g2 D2; ``MeasuredModel`` holds V_0, D1 and D2 and is what
-downstream consumers (Fisher information, scores, sampling, likelihood) use. V_r
-itself is formed once per config, for the closed form and ``measured_covariance``
-alike. The pipeline result is recorded alongside for verification.
+V_r(g) = V_0 + g1 D1 + g2 D2. ``InterferometerConfig`` holds V_0, D1 and D2, V_r at its
+own coherence and V_r's Cholesky factor, each built once per config, and is what
+downstream consumers (Fisher information, scores, sampling, likelihood) read. The
+pipeline result is recorded alongside for verification.
 """
 
 from __future__ import annotations
@@ -60,28 +60,55 @@ _SLOTS = np.array([[[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Source and resource parameters feeding the fixed two-telescope layout."""
+    """Source and resource parameters feeding the fixed two-telescope layout, and the
+    measured model they fix: V_r(g) = V_0 + g1 D1 + g2 D2 over (x_A1, p_A2, x_B1, p_B2).
+    Each array below is built once per config, on first use, and is read-only."""
 
     source: SourceParams
     resource: TmsvParams
 
     @cached_property
-    def model(self) -> "MeasuredModel":
-        """The measured covariance as a linear function of the coherence, built once."""
-        return MeasuredModel.from_config(self)
+    def v0(self) -> np.ndarray:
+        """V_0: the source flux and the resource, V_r at zero coherence."""
+        a, b, _, d, _, f = abbreviations(self)
+        s = a + b
+        v0 = 0.5 * np.array([[s, 0.0, d, f], [0.0, s, f, -d], [d, f, s, 0.0], [f, -d, 0.0, s]])
+        v0.flags.writeable = False
+        return v0
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """D1 and D2 stacked (2x4x4): the exact, constant derivatives dV_r/dg."""
+        d = 0.5 * self.source.epsilon * _SLOTS
+        d.flags.writeable = False
+        return d
+
+    def covariance(self, g1, g2) -> np.ndarray:
+        """V_r at coherence (g1, g2); the caller is responsible for |g| <= 1.
+
+        g1 and g2 may be arrays of shape (n, 1, 1), giving a stack of n matrices.
+        """
+        return self.v0 + g1 * self.d[0] + g2 * self.d[1]
 
     @cached_property
     def _v_r(self) -> np.ndarray:
-        """V_r at the config's coherence, read-only and unchecked; formed once."""
-        v = self.model.covariance(self.source.g1, self.source.g2)
+        """V_r at the config's coherence, unchecked."""
+        v = self.covariance(self.source.g1, self.source.g2)
         v.flags.writeable = False
         return v
 
     @cached_property
     def measured_covariance(self) -> np.ndarray:
-        """V_r at the config's coherence, read-only, checked positive definite once."""
+        """V_r at the config's coherence, checked positive definite once."""
         _check_positive_definite(self._v_r, "measured covariance")
         return self._v_r
+
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor of ``measured_covariance``: every sampler and score reads it."""
+        chol = np.linalg.cholesky(self.measured_covariance)
+        chol.flags.writeable = False
+        return chol
 
     @classmethod
     def from_values(
@@ -138,39 +165,6 @@ def full_output_covariance(cfg: InterferometerConfig) -> CovarianceMatrix:
     product = np.concatenate((astro.ravel(), tmsv.ravel(), [0.0])).take(_PAIRED_FLAT)
     out = _TWO_SITE_BEAM_SPLITTER @ product @ _TWO_SITE_BEAM_SPLITTER.T
     return CovarianceMatrix._derived(OUTPUT_ORDERING, (out + out.T) / 2.0)  # as apply_symplectic
-
-
-@dataclass(frozen=True, eq=False)
-class MeasuredModel:
-    """Measured covariance over (x_A1, p_A2, x_B1, p_B2) as V_0 + g1 D1 + g2 D2.
-
-    V_0 carries the source flux and the resource; ``d`` (2x4x4) stacks the exact,
-    constant derivatives dV_r/dg1 and dV_r/dg2, whose views are ``d1`` and ``d2``.
-    The arrays are read-only.
-    """
-
-    v0: np.ndarray
-    d: np.ndarray
-
-    @classmethod
-    def from_config(cls, cfg: InterferometerConfig) -> "MeasuredModel":
-        """Model at the config's (epsilon, n_bar, theta); its coherence is not used."""
-        a, b, _, d, _, f = abbreviations(cfg)
-        s = a + b
-        v0 = 0.5 * np.array([[s, 0.0, d, f], [0.0, s, f, -d], [d, f, s, 0.0], [f, -d, 0.0, s]])
-        d = 0.5 * cfg.source.epsilon * _SLOTS
-        v0.flags.writeable = d.flags.writeable = False
-        return cls(v0, d)
-
-    d1 = property(lambda self: self.d[0])
-    d2 = property(lambda self: self.d[1])
-
-    def covariance(self, g1, g2) -> np.ndarray:
-        """V_r at coherence (g1, g2); the caller is responsible for |g| <= 1.
-
-        g1 and g2 may be arrays of shape (n, 1, 1), giving a stack of n matrices.
-        """
-        return self.v0 + g1 * self.d[0] + g2 * self.d[1]
 
 
 def reduced_covariance_closed(cfg: InterferometerConfig) -> CovarianceMatrix:

@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 JSON_FLOAT_DIGITS = 17
+JSON_INDENT = 2
 CSV_FLOAT_DIGITS = 10
 
 
@@ -42,18 +43,18 @@ def _encode_scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _encode(obj, indent: int, level: int) -> str:
+def _encode(obj, level: int) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if _is_scalar(obj):
         return _encode_scalar(obj)
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+    pad = " " * (JSON_INDENT * level)
+    inner = " " * (JSON_INDENT * (level + 1))
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(key))}: {_encode(value, indent, level + 1)}"
+            f"{inner}{json.dumps(str(key))}: {_encode(value, level + 1)}"
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
@@ -63,14 +64,14 @@ def _encode(obj, indent: int, level: int) -> str:
             return "[]"
         if all(_is_scalar(x) for x in items):
             return "[" + ", ".join(_encode_scalar(x) for x in items) + "]"
-        parts = [f"{inner}{_encode(x, indent, level + 1)}" for x in items]
+        parts = [f"{inner}{_encode(x, level + 1)}" for x in items]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def json_dumps(obj, indent: int = 2) -> str:
+def json_dumps(obj) -> str:
     """Serialize to JSON text with fixed-precision floats; ends with a newline."""
-    return _encode(obj, indent, 0) + "\n"
+    return _encode(obj, 0) + "\n"
 
 
 def _csv_field(value) -> str:

@@ -40,7 +40,6 @@ from cvlbi.interferometer import (
     _SLOTS,
     OUTPUT_ORDERING,
     InterferometerConfig,
-    MeasuredModel,
     abbreviations,
     beam_splitter_matrix,
 )
@@ -237,14 +236,14 @@ def fisher_decimal(eps: float, g1: float, g2: float, n_bar: float) -> np.ndarray
         ])
 
 
-def _linear_terms(model: MeasuredModel):
+def _linear_terms(cfg: InterferometerConfig):
     """A_k = V_0^-1 D_k V_0^-1 / 2 (2 x 4 x 4), F(0) with F(0)_kl = tr(A_k D_l), and tr(A_k V_0)."""
-    v0_inv = np.linalg.inv(model.v0)
-    a = 0.5 * v0_inv @ model.d @ v0_inv
-    return a, np.einsum("kij,lji->kl", a, model.d), np.einsum("kij,ji->k", a, model.v0)
+    v0_inv = np.linalg.inv(cfg.v0)
+    a = 0.5 * v0_inv @ cfg.d @ v0_inv
+    return a, np.einsum("kij,lji->kl", a, cfg.d), np.einsum("kij,ji->k", a, cfg.v0)
 
 
-def linear_estimate(model: MeasuredModel, moments: np.ndarray) -> np.ndarray:
+def linear_estimate(cfg: InterferometerConfig, moments: np.ndarray) -> np.ndarray:
     """The score step from g = 0 for each second moment S in ``moments`` (R x 4 x 4): R x 2.
 
     g_lin = F(0)^-1 s_0(S), s_0,k(S) = [tr(V_0^-1 D_k V_0^-1 S) - tr(V_0^-1 D_k)] / 2.
@@ -252,23 +251,23 @@ def linear_estimate(model: MeasuredModel, moments: np.ndarray) -> np.ndarray:
     count: generalised least squares for a covariance linear in its parameters
     (T. W. Anderson, Ann. Statist. 1, 135, 1973).
     """
-    a, f0, offset = _linear_terms(model)
+    a, f0, offset = _linear_terms(cfg)
     scores = np.einsum("kij,rji->rk", a, moments) - offset
     return np.linalg.solve(f0, scores.T).T
 
 
-def linear_estimate_covariance(model: MeasuredModel, g, shots: int) -> np.ndarray:
+def linear_estimate_covariance(cfg: InterferometerConfig, g, shots: int) -> np.ndarray:
     """Exact covariance F(0)^-1 C F(0)^-1 / M of ``linear_estimate`` over records of M shots.
 
     C_kl = 2 tr(A_k V A_l V) with V = V_r(g), from the second moments of a Wishart matrix.
     """
-    a, f0, _ = _linear_terms(model)
-    av = a @ model.covariance(*g)
+    a, f0, _ = _linear_terms(cfg)
+    av = a @ cfg.covariance(*g)
     f0_inv = np.linalg.inv(f0)
     return f0_inv @ (2.0 * np.einsum("kij,lji->kl", av, av)) @ f0_inv / shots
 
 
-def circle_maximum(model: MeasuredModel, s: np.ndarray) -> np.ndarray:
+def circle_maximum(cfg: InterferometerConfig, s: np.ndarray) -> np.ndarray:
     """The point g* of the unit circle where second moment S has its greatest likelihood.
 
     On |g| = 1 the eigenvalues of V_r(g) do not depend on g, so log det V_r is constant
@@ -276,7 +275,7 @@ def circle_maximum(model: MeasuredModel, s: np.ndarray) -> np.ndarray:
     M_k = (V_r(e_k)^-1 - V_r(-e_k)^-1) / 2. The per-shot negative log-likelihood on the
     circle is then c_0 + c.g / 2 with c_k = tr(M_k S), least at g* = -c / |c|.
     """
-    m = [np.linalg.inv(model.covariance(*e)) - np.linalg.inv(model.covariance(*-e)) for e in np.eye(2)]
+    m = [np.linalg.inv(cfg.covariance(*e)) - np.linalg.inv(cfg.covariance(*-e)) for e in np.eye(2)]
     c = np.array([np.trace(mk @ s) for mk in m]) / 2.0
     return -c / np.linalg.norm(c)
 

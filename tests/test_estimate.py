@@ -64,15 +64,15 @@ LOCKSTEP_CASES = {
 }
 
 
-def one_matrix_nll_and_grad(model, s, g):
+def one_matrix_nll_and_grad(cfg, s, g):
     """Reference: the likelihood and gradient of one 4x4 matrix, one trace at a time."""
-    v = model.covariance(float(g[0]), float(g[1]))
+    v = cfg.covariance(float(g[0]), float(g[1]))
     chol = np.linalg.cholesky(v)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     v_inv = np.linalg.inv(v)
     value = 0.5 * (logdet + float(np.trace(v_inv @ s)) + 4.0 * LOG_2PI)
     grad = np.empty(2)
-    for k, dk in enumerate((model.d1, model.d2)):
+    for k, dk in enumerate((cfg.d[0], cfg.d[1])):
         a = v_inv @ dk
         grad[k] = 0.5 * (float(np.trace(a)) - float(np.trace(a @ v_inv @ s)))
     return value, grad
@@ -164,14 +164,14 @@ def moment_start(s, eps):
 def sequential_mle(record):
     """Reference: mle as a plain loop, each start run to its end in turn on the
     one-matrix evaluator; the better final value wins, the first start on a tie."""
-    model, s = record.config.model, record.second_moment
+    cfg, s = record.config, record.second_moment
     starts = [np.zeros(2), np.array(moment_start(s, record.config.source.epsilon))]
     if np.linalg.norm(starts[1] - starts[0]) < 1e-12:
         starts = starts[:1]
     best = None
     for x0 in starts:
         run = projected_bfgs(x0)
-        final = drive(run, lambda g: one_matrix_nll_and_grad(model, s, g))
+        final = drive(run, lambda g: one_matrix_nll_and_grad(cfg, s, g))
         if best is None or final[1] < best[1]:
             best = final
     x, f, pg_norm, iterations, reason = best
@@ -219,7 +219,7 @@ class TestSampling:
         # 3 chunks plus a short one, and a lone last row: the multi-chunk fill of both
         # paths has the bits of one product over all rows, whatever DRAW_CHUNK is
         children = np.random.SeedSequence(4).spawn(count)
-        chol = np.linalg.cholesky(CFG_COHERENT.model.covariance(0.3, 0.1))
+        chol = np.linalg.cholesky(CFG_COHERENT.covariance(0.3, 0.1))
         # one outcome buffer for every child, as one block of crb_experiment's draws
         out = np.empty((shots, 4))
         for child in children:
@@ -250,6 +250,26 @@ class TestSampling:
         bad[1, 2] = np.nan
         with pytest.raises(ValidationError, match="finite"):
             MeasurementRecord(outcomes=bad, seed=0, config=CFG)
+
+    def test_record_keeps_its_own_copy_of_the_outcomes(self):
+        base = sample_records(CFG, 10, seed=3).outcomes.copy()
+        whole, part = MeasurementRecord(base, 0, CFG), MeasurementRecord(base[:5], 0, CFG)
+        moment = part.second_moment
+        base[0] = 100.0  # the caller's array stays writeable
+        for record in (whole, part):
+            assert not record.outcomes.flags.writeable
+            assert not np.shares_memory(record.outcomes, base)
+        assert np.array_equal(_second_moment(part.outcomes), moment)
+
+    def test_a_drawn_record_holds_one_buffer(self):
+        # 200k shots are 6.4 MB; the normals of one chunk add 512 KB, a copy another 6.4 MB
+        tracemalloc.start()
+        try:
+            record = sample_records(CFG, 200_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.outcomes.nbytes <= peak < 2 * record.outcomes.nbytes
 
 
 def from_blocks(theta: float, blocks: np.ndarray) -> np.ndarray:
@@ -303,8 +323,8 @@ class TestLinearEstimator:
         moments = np.stack([
             sample_records(cfg, shots, seed).second_moment for seed in range(replications)
         ])
-        estimates = linear_estimate(cfg.model, moments)
-        exact = linear_estimate_covariance(cfg.model, g, shots)
+        estimates = linear_estimate(cfg, moments)
+        exact = linear_estimate_covariance(cfg, g, shots)
         mean_se = np.sqrt(np.diag(exact) / replications)
         assert np.all(np.abs(estimates.mean(axis=0) - g) <= 3.0 * mean_se)
         # each sample (co)variance within 4 of its standard errors, the spread of the
@@ -324,8 +344,8 @@ class TestLinearEstimator:
         cfg = InterferometerConfig.from_values(eps, 0.3, 0.2, n_bar=1.0, theta=0.7)
         g = np.array([cfg.source.g1, cfg.source.g2])
         blocks = block_wishart(cfg, shots, replications, np.random.default_rng(index))
-        estimates = linear_estimate(cfg.model, from_blocks(cfg.resource.theta, blocks))
-        exact = linear_estimate_covariance(cfg.model, g, shots)
+        estimates = linear_estimate(cfg, from_blocks(cfg.resource.theta, blocks))
+        exact = linear_estimate_covariance(cfg, g, shots)
         mean_se = np.sqrt(np.diag(exact) / replications)
         assert np.all(np.abs(estimates.mean(axis=0) - g) <= 3.0 * mean_se)
         # each sample (co)variance within 4 of its standard errors, as on explicit records
@@ -344,7 +364,7 @@ class TestLinearEstimator:
         weights = [beta**-2 for beta in block_betas(cfg.source.epsilon, cfg.resource.n_bar)]
         weighted = sum(w * u[:, s] for s, w in enumerate(weights))
         expected = weighted / (cfg.source.epsilon * sum(weights))
-        np.testing.assert_allclose(linear_estimate(cfg.model, moments), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(linear_estimate(cfg, moments), expected, rtol=0, atol=1e-12)
 
 
 class TestLogLikelihood:
@@ -389,15 +409,15 @@ class TestLogLikelihood:
 class TestStackedEvaluator:
     def test_rows_equal_the_one_matrix_reference_bitwise(self):
         rng = np.random.default_rng(3)
-        model = CFG_COHERENT.model
+        cfg = CFG_COHERENT
         moments = np.stack([sample_records(CFG_COHERENT, 50, seed=i).second_moment for i in range(40)])
         radius = np.sqrt(rng.uniform(0.0, 1.0, 40))
         phase = rng.uniform(0.0, 2.0 * math.pi, 40)
         g = np.column_stack([radius * np.cos(phase), radius * np.sin(phase)])
         g[0] = (1.0, 0.0)  # on the circle
-        values, grads = _nll_and_grad(model, moments, g)
+        values, grads = _nll_and_grad(cfg, moments, g)
         for i in range(40):
-            value, grad = one_matrix_nll_and_grad(model, moments[i], g[i])
+            value, grad = one_matrix_nll_and_grad(cfg, moments[i], g[i])
             assert values[i] == value
             assert np.array_equal(grads[i], grad)
 
@@ -429,7 +449,7 @@ class TestBlockLikelihood:
             phase = rng.uniform(0.0, 2.0 * math.pi, 8)
             g = np.column_stack([radius * np.cos(phase), radius * np.sin(phase)])
             moments = np.repeat(s[None], len(g), axis=0)
-            values, grads = _nll_and_grad(cfg.model, moments, g)
+            values, grads = _nll_and_grad(cfg, moments, g)
             block_values, block_grads = block_nll_and_grad(cfg, moments, g)
             scale = max(1.0, cfg.resource.n_bar)
             assert np.all(np.abs(block_values - values) <= 1e-15 * scale * np.abs(values))
@@ -446,7 +466,7 @@ class TestBlockLikelihood:
             _, u = block_statistics(block_moments(cfg.resource.theta, s[None]))
             betas = block_betas(cfg.source.epsilon, cfg.resource.n_bar)
             w = sum(u[0, k] / (beta**2 - gamma**2) for k, beta in enumerate(betas))
-            assert circle_distance(w, circle_maximum(cfg.model, s)) <= 1e-8
+            assert circle_distance(w, circle_maximum(cfg, s)) <= 1e-8
 
 
 class TestMle:
@@ -558,19 +578,19 @@ class TestBoundaryPolish:
         for draw in range(800):
             eps, n_bar = 10.0 ** rng.uniform(-3.0, 0.0), 10.0 ** rng.uniform(-3.0, 3.0)
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            model = InterferometerConfig.from_values(eps, 0.0, 0.0, n_bar=n_bar, theta=theta).model
-            x = np.linalg.cholesky(model.v0) @ rng.standard_normal(4)
+            cfg = InterferometerConfig.from_values(eps, 0.0, 0.0, n_bar=n_bar, theta=theta)
+            x = np.linalg.cholesky(cfg.v0) @ rng.standard_normal(4)
             s = np.outer(x, x)
-            target = circle_maximum(model, s)
+            target = circle_maximum(cfg, s)
             far = draw % 4 != 0
             offset = rng.uniform(2.1, 3.1) if far else rng.uniform(0.0, 2.1)
             phi = math.atan2(target[1], target[0]) + rng.choice((-1.0, 1.0)) * offset
             start = np.array([math.cos(phi), math.sin(phi)])
-            f, grad = one_matrix_nll_and_grad(model, s, start)
+            f, grad = one_matrix_nll_and_grad(cfg, s, start)
             if grad @ start > 0.0:
                 continue  # not pinned: the MLE takes a projected step instead
             polish = estimate_module._boundary_polish(start, f, grad)
-            point, _, _ = drive(polish, lambda g: one_matrix_nll_and_grad(model, s, g))
+            point, _, _ = drive(polish, lambda g: one_matrix_nll_and_grad(cfg, s, g))
             assert circle_distance(point, target) <= 1e-8
             landed["far" if far else "near"] += 1
         assert landed["near"] >= 100 and landed["far"] >= 15
@@ -584,7 +604,7 @@ class TestBoundaryPolish:
         )
         fit = crb_experiment(cfg, shots=1, replications=30, seed=45).fits[2]
         child = np.random.SeedSequence(45).spawn(30)[2]
-        target = circle_maximum(cfg.model, sample_records(cfg, 1, child).second_moment)
+        target = circle_maximum(cfg, sample_records(cfg, 1, child).second_moment)
         assert fit.reason == "converged" and fit.on_boundary
         assert circle_distance(fit.g, target) <= 1e-9
         assert fit.log_likelihood > -8.054233393108388
@@ -703,9 +723,9 @@ class TestLockstepFits:
         # before it is a point evaluated outside the rounds
         rows = []
 
-        def counted(model, s, g):
+        def counted(cfg, s, g):
             rows.append(len(g))
-            return _nll_and_grad(model, s, g)
+            return _nll_and_grad(cfg, s, g)
 
         monkeypatch.setattr(estimate_module, "_nll_and_grad", counted)
         for case in ("boundary", "circle"):
@@ -841,7 +861,7 @@ class TestParallelSampling:
             return draw(chol, seed, out)
 
         monkeypatch.setattr(estimate_module, "_draw_outcomes", draw_together)
-        chol = np.linalg.cholesky(CFG_COHERENT.model.covariance(0.3, 0.1))
+        chol = np.linalg.cholesky(CFG_COHERENT.covariance(0.3, 0.1))
         children = np.random.SeedSequence(11).spawn(replications)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -23,6 +23,7 @@ from oracles import (
 
 from cvlbi.cli import main
 from cvlbi.core import DRAW_CHUNK, ValidationError, symplectic_form
+from cvlbi.estimate import MeasurementRecord, log_likelihood, sample_records
 from cvlbi.fisher import (
     LIMIT_INFINITY,
     LIMIT_ZERO,
@@ -37,7 +38,6 @@ from cvlbi.fisher import (
 )
 from cvlbi.interferometer import (
     InterferometerConfig,
-    MeasuredModel,
     reduced_covariance,
     reduced_covariance_closed,
 )
@@ -71,10 +71,10 @@ def paper_span_config(rng) -> InterferometerConfig:
 
 def score_reference(cfg: InterferometerConfig, x: np.ndarray) -> np.ndarray:
     """Scores by the unwhitened formula (x^T V^-1 D_k V^-1 x - tr V^-1 D_k) / 2."""
-    inv = np.linalg.inv(cfg.model.covariance(cfg.source.g1, cfg.source.g2))
+    inv = np.linalg.inv(cfg.covariance(cfg.source.g1, cfg.source.g2))
     return np.column_stack([
         0.5 * (np.einsum("ni,ij,nj->n", x, inv @ d @ inv, x) - np.trace(inv @ d))
-        for d in (cfg.model.d1, cfg.model.d2)
+        for d in (cfg.d[0], cfg.d[1])
     ])
 
 
@@ -84,7 +84,7 @@ def monte_carlo_reference(cfg: InterferometerConfig, samples: int, seed: int):
     Returns (entries, standard_error, score_mean, score_se) as
     ``fisher_monte_carlo`` defines them.
     """
-    chol = np.linalg.cholesky(cfg.model.covariance(cfg.source.g1, cfg.source.g2))
+    chol = np.linalg.cholesky(cfg.covariance(cfg.source.g1, cfg.source.g2))
     rng = np.random.default_rng(seed)
     prod_sum, prod_sumsq, score_sum = np.zeros(3), np.zeros(3), np.zeros(2)
     for start in range(0, samples, DRAW_CHUNK):
@@ -194,28 +194,24 @@ class TestCovarianceDerivatives:
 
     def test_slot_pattern(self):
         cfg = InterferometerConfig.from_values(0.1, 0.3, -0.2, n_bar=2.0, theta=1.0)
-        model = MeasuredModel.from_config(cfg)
         expected_d1 = np.zeros((4, 4))
         expected_d1[0, 2] = expected_d1[2, 0] = 0.05
         expected_d1[1, 3] = expected_d1[3, 1] = 0.05
         expected_d2 = np.zeros((4, 4))
         expected_d2[0, 3] = expected_d2[3, 0] = 0.05
         expected_d2[1, 2] = expected_d2[2, 1] = -0.05
-        assert np.array_equal(model.d1, expected_d1)
-        assert np.array_equal(model.d2, expected_d2)
+        assert np.array_equal(cfg.d[0], expected_d1)
+        assert np.array_equal(cfg.d[1], expected_d2)
 
     def test_independent_of_coherence_and_squeezing(self):
-        a = MeasuredModel.from_config(InterferometerConfig.from_values(0.4, 0.0, 0.0, n_bar=0.0))
-        b = MeasuredModel.from_config(
-            InterferometerConfig.from_values(0.4, 0.9, -0.3, n_bar=7.0, theta=2.0)
-        )
-        assert np.array_equal(a.d1, b.d1) and np.array_equal(a.d2, b.d2)
+        a = InterferometerConfig.from_values(0.4, 0.0, 0.0, n_bar=0.0)
+        b = InterferometerConfig.from_values(0.4, 0.9, -0.3, n_bar=7.0, theta=2.0)
+        assert np.array_equal(a.d[0], b.d[0]) and np.array_equal(a.d[1], b.d[1])
 
     def test_matches_central_differences(self):
         # differentiate the independent 8x8 pipeline, not the model itself
         h = 1e-6
         cfg = InterferometerConfig.from_values(0.3, 0.2, 0.1, n_bar=1.5, theta=0.7)
-        model = MeasuredModel.from_config(cfg)
 
         def v_at(g1, g2):
             return reduced_covariance(
@@ -224,8 +220,8 @@ class TestCovarianceDerivatives:
 
         fd1 = (v_at(0.2 + h, 0.1) - v_at(0.2 - h, 0.1)) / (2 * h)
         fd2 = (v_at(0.2, 0.1 + h) - v_at(0.2, 0.1 - h)) / (2 * h)
-        assert np.max(np.abs(fd1 - model.d1)) <= 1e-8
-        assert np.max(np.abs(fd2 - model.d2)) <= 1e-8
+        assert np.max(np.abs(fd1 - cfg.d[0])) <= 1e-8
+        assert np.max(np.abs(fd2 - cfg.d[1])) <= 1e-8
 
 
 class TestFisherAnalytic:
@@ -272,7 +268,7 @@ class TestFisherAnalytic:
                 n_bar=10.0 ** rng.uniform(-6, 4), theta=rng.uniform(0, 2 * np.pi),
             )
             v = cfg.measured_covariance
-            a1, a2 = (np.linalg.solve(v, d) for d in (cfg.model.d1, cfg.model.d2))
+            a1, a2 = (np.linalg.solve(v, d) for d in (cfg.d[0], cfg.d[1]))
             f11, f22, f12 = (0.5 * float(np.trace(x @ y))
                              for x, y in ((a1, a1), (a2, a2), (a1, a2)))
             expected = np.array([[f11, f12], [f12, f22]])
@@ -477,17 +473,13 @@ class TestScoreVectors:
         rng = np.random.default_rng(RNG_SEED + 4)
         for _ in range(300):
             cfg = paper_span_config(rng)
-            v = cfg.model.covariance(cfg.source.g1, cfg.source.g2)
+            v = cfg.covariance(cfg.source.g1, cfg.source.g2)
             x = rng.standard_normal((64, 4)) @ np.linalg.cholesky(v).T
             expected = score_reference(cfg, x)
             scale = np.max(np.abs(expected), axis=0)
             assert np.all(np.abs(score_vectors(cfg, x) - expected) <= 1e-11 * scale)
 
-    def test_single_row_of_four_accepted(self):
-        row = np.array([0.3, -1.2, 0.8, 0.1])
-        assert np.array_equal(score_vectors(self.CFG, row), score_vectors(self.CFG, row[None, :]))
-
-    @pytest.mark.parametrize("shape", [(0, 4), (2, 2, 4), (3,), (5, 3), ()])
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 2, 4), (3,), (5, 3), (), (4,)])
     def test_wrong_shape_rejected(self, shape):
         message = r"outcomes must be an \(M >= 1\) x 4 array, got " + re.escape(str(shape))
         with pytest.raises(ValidationError, match=message):
@@ -781,3 +773,67 @@ class TestBlockModel:
                 relative_gap(block_fisher(src.epsilon, src.g1, src.g2, n), limit) for n in n_bars
             ]
             np.testing.assert_allclose(scaled, scaled[-1], rtol=1e-3)
+
+
+def rotation(angle: float) -> np.ndarray:
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+ROTATION_DRAWS = {
+    "log_eps": st.floats(-6.0, 0.0),
+    "log_n_bar": st.floats(-3.0, 4.0),
+    "mag": st.floats(0.0, 0.9),
+    "phase": st.floats(0.0, 2 * math.pi),
+    "theta": st.floats(0.0, 2 * math.pi),
+    "alpha": st.floats(0.0, 2 * math.pi),
+}
+
+
+class TestRotationSymmetry:
+    """Rotating both blocks of V_r by alpha rotates the coherence by -2 alpha.
+
+    In the basis Q(theta) both blocks are beta_s I + gamma (g1 tau1 + g2 tau2), so the
+    orthogonal U = Q (I_2 (x) r_alpha) Q^T, which depends on theta alone, gives
+    U V_r(g) U^T = V_r(R g) with R = r_(-2 alpha). The Fisher information and the
+    likelihood of a rotated record follow exactly; only rounding separates the sides.
+    """
+
+    def draw(self, log_eps, log_n_bar, mag, phase, theta, alpha):
+        """(config at g, config at R g, U, R)."""
+        eps, n_bar = 10.0**log_eps, 10.0**log_n_bar
+        g = mag * np.array([math.cos(phase), math.sin(phase)])
+        q = block_basis(theta)
+        u, r = q @ np.kron(np.eye(2), rotation(alpha)) @ q.T, rotation(-2.0 * alpha)
+        cfg, rotated = (
+            InterferometerConfig.from_values(eps, *h, n_bar=n_bar, theta=theta) for h in (g, r @ g)
+        )
+        return cfg, rotated, u, r
+
+    @settings(max_examples=100)
+    @given(**ROTATION_DRAWS)
+    def test_measured_covariance(self, log_eps, log_n_bar, mag, phase, theta, alpha):
+        # measured: within 1.2e-15 relative over 300 random draws
+        cfg, rotated, u, _ = self.draw(log_eps, log_n_bar, mag, phase, theta, alpha)
+        turned = u @ cfg.measured_covariance @ u.T
+        assert relative_gap(turned, rotated.measured_covariance) <= 1e-14
+
+    @settings(max_examples=100)
+    @given(**ROTATION_DRAWS)
+    def test_fisher_information(self, log_eps, log_n_bar, mag, phase, theta, alpha):
+        # measured: within 5.7e-16 max(1, n_bar) relative over 300 random draws, the
+        # digits the solve against V_r loses as n_bar grows
+        cfg, rotated, _, r = self.draw(log_eps, log_n_bar, mag, phase, theta, alpha)
+        f = fisher_analytic(cfg).entries
+        gap = relative_gap(fisher_analytic(rotated).entries, r @ f @ r.T)
+        assert gap <= 1e-14 * max(1.0, 10.0**log_n_bar)
+
+    @settings(max_examples=100)
+    @given(shots=st.integers(1, 1000), **ROTATION_DRAWS)
+    def test_log_likelihood(self, shots, log_eps, log_n_bar, mag, phase, theta, alpha):
+        # measured: within 6.7e-16 max(1, n_bar) relative over 300 random draws
+        cfg, rotated, u, _ = self.draw(log_eps, log_n_bar, mag, phase, theta, alpha)
+        record = sample_records(cfg, shots, seed=0)
+        turned = MeasurementRecord(record.outcomes @ u.T, 0, cfg)
+        expected = log_likelihood(record, cfg.source.g1, cfg.source.g2)
+        value = log_likelihood(turned, rotated.source.g1, rotated.source.g2)
+        assert abs(value - expected) <= 1e-14 * max(1.0, 10.0**log_n_bar) * abs(expected)

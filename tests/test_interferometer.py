@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import full_output_covariance_closed
 
-from cvlbi import core, fisher
+from cvlbi import core, estimate, fisher
 from cvlbi.core import (
     CovarianceMatrix,
     apply_symplectic,
@@ -20,7 +20,6 @@ from cvlbi.interferometer import (
     InterferometerConfig,
     MEASURED_ORDERING,
     OUTPUT_ORDERING,
-    MeasuredModel,
     _MEASURED,
     _PAIRED,
     _TWO_SITE_BEAM_SPLITTER,
@@ -163,7 +162,9 @@ def test_sweep_path_work_count(monkeypatch):
     transforms = count_calls(monkeypatch, core, "apply_symplectic")
     checks = count_calls(monkeypatch, core, "_check_positive_definite")
     formed, solves = [], []
-    monkeypatch.setattr(MeasuredModel, "covariance", counting(MeasuredModel.covariance, formed))
+    monkeypatch.setattr(
+        InterferometerConfig, "covariance", counting(InterferometerConfig.covariance, formed)
+    )
     monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve, solves))
 
     eps, g1, g2 = 0.1, 0.3, 0.2
@@ -174,6 +175,22 @@ def test_sweep_path_work_count(monkeypatch):
     fisher.fisher_limit_closed_form(eps, g1, g2, fisher.LIMIT_INFINITY)
     assert (len(validations), len(transforms), len(checks)) == (0, 0, 1)
     assert (len(formed), len(solves)) == (1, 1)
+
+
+def test_one_factorisation_of_v_r_per_config(monkeypatch):
+    """Records, the CRB experiment, scores and the Monte Carlo Fisher of one config
+    share one Cholesky factor of its V_r."""
+    calls = []
+    monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky, calls))
+    cfg = InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1.0, theta=0.5)
+    record = estimate.sample_records(cfg, 100, seed=0)
+    estimate.sample_records(cfg, 100, seed=1)
+    estimate.crb_experiment(cfg, 100, estimate.MIN_REPLICATIONS, seed=0)
+    fisher.score_vectors(cfg, record.outcomes)
+    fisher.fisher_monte_carlo(cfg, fisher.MIN_MC_SAMPLES, seed=0)
+    # the MLE factors V_r at its trial points as stacks, one n x 4 x 4 array a call
+    factored = [a for (a,) in calls if np.ndim(a) == 2]
+    assert len(factored) == 1 and factored[0] is cfg.measured_covariance
 
 
 class TestBeamSplitter:
@@ -320,7 +337,7 @@ class TestReducedCovariance:
             state = reduced_covariance(cfg)
             pipeline = state.v_r_pipeline.entries
             assert not pipeline.flags.writeable
-            for other in (state.v_r.entries, cfg.model.v0, cfg.model.d1, cfg.model.d2):
+            for other in (state.v_r.entries, cfg.v0, cfg.d[0], cfg.d[1]):
                 assert not np.shares_memory(pipeline, other)
 
     def test_positive_definite(self):
@@ -341,7 +358,7 @@ class TestMeasuredModel:
             src = cfg.source
             model = InterferometerConfig.from_values(
                 src.epsilon, n_bar=cfg.resource.n_bar, theta=cfg.resource.theta
-            ).model
+            )
             pipeline = reduced_covariance(cfg).v_r_pipeline.entries
             gap = np.max(np.abs(model.covariance(src.g1, src.g2) - pipeline))
             worst = max(worst, gap / max(1.0, float(np.max(np.abs(pipeline)))))
@@ -349,17 +366,17 @@ class TestMeasuredModel:
 
     def test_closed_form_is_the_model(self):
         cfg = InterferometerConfig.from_values(0.3, -0.4, 0.5, n_bar=2.0, theta=4.0)
-        expected = cfg.model.v0 - 0.4 * cfg.model.d1 + 0.5 * cfg.model.d2
+        expected = cfg.v0 - 0.4 * cfg.d[0] + 0.5 * cfg.d[1]
         assert np.array_equal(reduced_covariance_closed(cfg).entries, expected)
 
     def test_built_once_per_config(self):
         cfg = InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1.0)
-        assert cfg.model is cfg.model
-        assert isinstance(cfg.model, MeasuredModel)
+        assert cfg.v0 is cfg.v0
+        assert cfg.cholesky is cfg.cholesky
 
     def test_arrays_read_only(self):
-        model = MeasuredModel.from_config(InterferometerConfig.from_values(0.1))
-        for array in (model.v0, model.d, model.d1, model.d2):
+        cfg = InterferometerConfig.from_values(0.1)
+        for array in (cfg.v0, cfg.d, cfg.cholesky):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
