@@ -34,7 +34,6 @@ SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-9
 PHYSICALITY_THRESHOLD = -1e-9
 CONDITION_LIMIT = 1e12
-_MACHINE_EPSILON = float(np.finfo(float).eps)
 
 #: rows of standard normals every sampler draws at a time (512 KB); a record's bits do not
 #: depend on it, a Monte Carlo Fisher sum's last bits do. At 2^14 a Monte Carlo chunk's
@@ -270,18 +269,6 @@ def reduce(v: CovarianceMatrix, keep) -> CovarianceMatrix:
     if keep == v.names:
         return v
     return CovarianceMatrix._derived(keep, v.entries[_indices(v.names, keep)])
-
-
-def _check_positive_definite(entries: np.ndarray, what: str) -> None:
-    eigs = np.linalg.eigvalsh(entries)
-    low, high = float(eigs[0]), float(eigs[-1])
-    # eigenvalues are resolved only to about dim * machine epsilon * the largest one
-    resolution = entries.shape[-1] * _MACHINE_EPSILON * abs(high)
-    if low < -resolution:
-        raise NumericalError(f"{what} is not positive definite (min eigenvalue {low:.3e})")
-    if low <= 0.0 or high / low > CONDITION_LIMIT:
-        condition = high / low if low > 0.0 else math.inf
-        raise NumericalError(f"{what} is numerically singular (condition number {condition:.3e})")
 
 
 def check_physicality(v: CovarianceMatrix) -> PhysicalityReport:

@@ -40,10 +40,27 @@ MAX_MC_SAMPLES = 1_000_000_000
 LIMIT_ZERO = "zero"
 LIMIT_INFINITY = "infinity"
 
+#: the factors of F_11, F_22 and F_12 in fisher_analytic's stacked product
+_LEFT, _RIGHT = np.array([0, 1, 0]), np.array([0, 1, 1])
+
 
 def _min_eigenvalue_2x2(a: float, b: float, c: float) -> float:
     """Smaller eigenvalue of the symmetric matrix [[a, b], [b, c]], in closed form."""
     return 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
+
+
+def _checked(a: float, upper: float, lower: float, c: float) -> np.ndarray:
+    """[[a, upper], [lower, c]], read-only; rejected unless finite, symmetric and PSD."""
+    if not all(map(math.isfinite, (a, upper, lower, c))):
+        raise ValidationError("Fisher matrix entries must be finite")
+    scale = max(1.0, abs(a), abs(upper), abs(lower), abs(c))
+    if abs(upper - lower) > 1e-12 * scale:
+        raise ValidationError("Fisher matrix must be symmetric")
+    if _min_eigenvalue_2x2(a, lower, c) < PSD_FLOOR * scale:
+        raise ValidationError("Fisher matrix must be positive semidefinite")
+    m = np.array((a, upper, lower, c)).reshape(2, 2)
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,19 +70,17 @@ class FisherMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
+        m = np.asarray(self.entries, dtype=float)
         if m.shape != (2, 2):
             raise ValidationError(f"Fisher matrix must be 2x2, got {m.shape}")
-        (a, upper), (lower, c) = m.tolist()
-        if not all(map(math.isfinite, (a, upper, lower, c))):
-            raise ValidationError("Fisher matrix entries must be finite")
-        scale = max(1.0, abs(a), abs(upper), abs(lower), abs(c))
-        if abs(upper - lower) > 1e-12 * scale:
-            raise ValidationError("Fisher matrix must be symmetric")
-        if _min_eigenvalue_2x2(a, lower, c) < PSD_FLOOR * scale:
-            raise ValidationError("Fisher matrix must be positive semidefinite")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", _checked(*m.ravel().tolist()))
+
+    @classmethod
+    def _symmetric(cls, a: float, b: float, c: float) -> "FisherMatrix":
+        """[[a, b], [b, c]] from three floats, checked as the constructor checks."""
+        out = object.__new__(cls)
+        out.__dict__["entries"] = _checked(a, b, b, c)
+        return out
 
     @property
     def trace_norm(self) -> float:
@@ -128,8 +143,8 @@ def fisher_analytic(cfg: InterferometerConfig) -> FisherMatrix:
 
     One stacked solve gives both A_i = V^-1 D_i; one stacked product gives A_i A_j."""
     a = np.linalg.solve(cfg.measured_covariance, cfg.d)
-    f11, f22, f12 = 0.5 * np.trace(a[[0, 1, 0]] @ a[[0, 1, 1]], axis1=1, axis2=2)
-    return FisherMatrix(np.array([[f11, f12], [f12, f22]]))
+    f11, f22, f12 = (0.5 * (a.take(_LEFT, 0) @ a.take(_RIGHT, 0)).trace(axis1=1, axis2=2)).tolist()
+    return FisherMatrix._symmetric(f11, f12, f22)
 
 
 def _check_sampling(samples: int, seed: int) -> None:
@@ -213,4 +228,4 @@ def fisher_limit_closed_form(
     diag_plus = prefactor * (base + (1.0 + g1 * g1 - g2 * g2) * eps_sq)
     diag_minus = prefactor * (base + (1.0 - g1 * g1 + g2 * g2) * eps_sq)
     off = prefactor * (2.0 * g1 * g2 * eps_sq)
-    return FisherMatrix(np.array([[diag_plus, off], [off, diag_minus]]))
+    return FisherMatrix._symmetric(diag_plus, off, diag_minus)

@@ -15,9 +15,9 @@ import from the quadrature names by ``core._indices`` and then made flat gathers
 Both a step-by-step pipeline and the direct closed form of the reduced covariance
 are provided. They agree to 1e-12. The closed form is linear in the coherence,
 V_r(g) = V_0 + g1 D1 + g2 D2. ``InterferometerConfig`` holds V_0, D1 and D2, V_r at its
-own coherence and V_r's Cholesky factor, each built once per config, and is what
-downstream consumers (Fisher information, scores, sampling, likelihood) read. The
-pipeline result is recorded alongside for verification.
+own coherence, checked from its exact extreme eigenvalues, and V_r's Cholesky factor, each
+built once per config, for downstream consumers (Fisher information, scores, sampling,
+likelihood) to read. The pipeline result is recorded alongside for verification.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CovarianceMatrix, _check_positive_definite, _indices, interleaved
+from .core import CONDITION_LIMIT, CovarianceMatrix, NumericalError, _indices, interleaved
 from .states import (
     ASTRO_ORDERING,
     TMSV_ORDERING,
@@ -71,8 +71,8 @@ class InterferometerConfig:
     def v0(self) -> np.ndarray:
         """V_0: the source flux and the resource, V_r at zero coherence."""
         a, b, _, d, _, f = abbreviations(self)
-        s = a + b
-        v0 = 0.5 * np.array([[s, 0.0, d, f], [0.0, s, f, -d], [d, f, s, 0.0], [f, -d, 0.0, s]])
+        s, d, f = 0.5 * (a + b), 0.5 * d, 0.5 * f  # halving is exact: same bits as 0.5 * V
+        v0 = np.array((s, 0.0, d, f, 0.0, s, f, -d, d, f, s, 0.0, f, -d, 0.0, s)).reshape(4, 4)
         v0.flags.writeable = False
         return v0
 
@@ -97,10 +97,24 @@ class InterferometerConfig:
         v.flags.writeable = False
         return v
 
+    @property
+    def _extreme_eigenvalues(self) -> tuple[float, float]:
+        """V_r's eigenvalues b_- + gamma (1 - |g|) and b_+ + gamma (1 + |g|), gamma = eps / 2,
+        b_+ = 1 + n + sqrt(n (n + 1)), b_- = (1 + n) / b_+ (cancellation-free). |g| may pass 1
+        by the disk's slack, so at a huge flux the first can reach 0 or below."""
+        n, gamma = self.resource.n_bar, 0.5 * self.source.epsilon
+        b_plus, r = 1.0 + n + math.sqrt(n * (n + 1.0)), math.hypot(self.source.g1, self.source.g2)
+        return (1.0 + n) / b_plus + gamma * (1.0 - r), b_plus + gamma * (1.0 + r)
+
     @cached_property
     def measured_covariance(self) -> np.ndarray:
-        """V_r at the config's coherence, checked positive definite once."""
-        _check_positive_definite(self._v_r, "measured covariance")
+        """V_r at the config's coherence, checked well conditioned once."""
+        low, high = self._extreme_eigenvalues
+        if low <= 0.0 or high / low > CONDITION_LIMIT:
+            condition = high / low if low > 0.0 else math.inf
+            raise NumericalError(
+                f"measured covariance is numerically singular (condition number {condition:.3e})"
+            )
         return self._v_r
 
     @cached_property
@@ -146,16 +160,10 @@ def abbreviations(cfg: InterferometerConfig) -> tuple[float, float, float, float
     a = eps + 1, b = 2 n_bar + 1, c = eps g1, e = eps g2,
     d = 2 cos(theta) sqrt(n_bar (n_bar + 1)), f = the sin(theta) analogue.
     """
-    eps = cfg.source.epsilon
-    n = cfg.resource.n_bar
+    eps, n, theta = cfg.source.epsilon, cfg.resource.n_bar, cfg.resource.theta
     root = 2.0 * math.sqrt(n * (n + 1.0))
-    a = eps + 1.0
-    b = 2.0 * n + 1.0
-    c = eps * cfg.source.g1
-    d = math.cos(cfg.resource.theta) * root
-    e = eps * cfg.source.g2
-    f = math.sin(cfg.resource.theta) * root
-    return a, b, c, d, e, f
+    d, f = math.cos(theta) * root, math.sin(theta) * root
+    return eps + 1.0, 2.0 * n + 1.0, eps * cfg.source.g1, d, eps * cfg.source.g2, f
 
 
 def full_output_covariance(cfg: InterferometerConfig) -> CovarianceMatrix:

@@ -124,7 +124,7 @@ def astronomical_covariance(params: SourceParams) -> CovarianceMatrix:
     """
     eps = params.epsilon
     a, c, e = eps + 1.0, eps * params.g1, eps * params.g2
-    entries = np.array([[a, 0.0, c, -e], [0.0, a, e, c], [c, e, a, 0.0], [-e, c, 0.0, a]])
+    entries = np.array((a, 0.0, c, -e, 0.0, a, e, c, c, e, a, 0.0, -e, c, 0.0, a)).reshape(4, 4)
     return CovarianceMatrix._derived(ASTRO_ORDERING, entries)
 
 
@@ -138,7 +138,7 @@ def tmsv_covariance_closed(params: TmsvParams) -> CovarianceMatrix:
     b = 2.0 * n + 1.0
     root = 2.0 * math.sqrt(n * (n + 1.0))
     c, s = root * math.cos(params.theta), root * math.sin(params.theta)
-    entries = np.array([[b, 0.0, c, s], [0.0, b, s, -c], [c, s, b, 0.0], [s, -c, 0.0, b]])
+    entries = np.array((b, 0.0, c, s, 0.0, b, s, -c, c, s, b, 0.0, s, -c, 0.0, b)).reshape(4, 4)
     return CovarianceMatrix._derived(TMSV_ORDERING, entries)
 
 

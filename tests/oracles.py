@@ -2,11 +2,13 @@
 
 * ``vacuum_covariance``: the vacuum state, the identity in this convention;
 * ``gaussian_log_pdf``: the normalized zero-mean Gaussian log density, against which
-  the record likelihood is checked;
+  the record likelihood is checked, after ``check_positive_definite``'s dense test;
 * ``full_output_covariance_closed``: the post-beam-splitter covariance from its
   closed-form blocks, against which the step-by-step pipeline is checked;
 * ``block_basis``, ``block_betas`` and ``block_fisher``: V_r as two 2x2 blocks and the
   Fisher information in closed form, against which ``fisher_analytic`` is checked;
+  ``block_condition_number``: V_r's condition number from the blocks' eigenvalues,
+  against which the conditioning check's message is checked;
   ``fisher_decimal`` evaluates the trace identity in 50-digit arithmetic;
 * ``block_nll_and_grad``: the per-shot likelihood and its gradient from the block
   statistics of a second moment, against which the MLE's 4x4 evaluator is checked;
@@ -31,9 +33,10 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from cvlbi.core import (
+    CONDITION_LIMIT,
     CovarianceMatrix,
+    NumericalError,
     ValidationError,
-    _check_positive_definite,
     interleaved,
 )
 from cvlbi.interferometer import (
@@ -52,6 +55,20 @@ def vacuum_covariance(*modes: str) -> CovarianceMatrix:
     return CovarianceMatrix(names, np.eye(len(names)))
 
 
+def check_positive_definite(entries: np.ndarray, what: str) -> None:
+    """Reject a symmetric matrix whose dense eigenvalues make it indefinite or worse
+    conditioned than CONDITION_LIMIT, naming it ``what``."""
+    eigs = np.linalg.eigvalsh(entries)
+    low, high = float(eigs[0]), float(eigs[-1])
+    # eigenvalues are resolved only to about dim * machine epsilon * the largest one
+    resolution = entries.shape[-1] * float(np.finfo(float).eps) * abs(high)
+    if low < -resolution:
+        raise NumericalError(f"{what} is not positive definite (min eigenvalue {low:.3e})")
+    if low <= 0.0 or high / low > CONDITION_LIMIT:
+        condition = high / low if low > 0.0 else math.inf
+        raise NumericalError(f"{what} is numerically singular (condition number {condition:.3e})")
+
+
 def gaussian_log_pdf(v: CovarianceMatrix, xs: np.ndarray) -> np.ndarray:
     """Log density of the zero-mean Gaussian with covariance V at each row of xs.
 
@@ -63,7 +80,7 @@ def gaussian_log_pdf(v: CovarianceMatrix, xs: np.ndarray) -> np.ndarray:
     d = v.dim
     if xs.ndim != 2 or xs.shape[1] != d:
         raise ValidationError(f"outcome array shape {xs.shape} does not match dimension {d}")
-    _check_positive_definite(v.entries, "measurement covariance")
+    check_positive_definite(v.entries, "measurement covariance")
     chol = np.linalg.cholesky(v.entries)
     half_logdet = float(np.sum(np.log(np.diag(chol))))
     ys = np.linalg.solve(chol, xs.T)
@@ -128,6 +145,13 @@ def block_betas(eps: float, n_bar: float) -> tuple[float, float]:
     root = math.sqrt(n_bar * (n_bar + 1.0))
     gamma = eps / 2.0
     return 1.0 + n_bar + root + gamma, (1.0 + n_bar) / (1.0 + n_bar + root) + gamma
+
+
+def block_condition_number(eps: float, g1: float, g2: float, n_bar: float) -> float:
+    """cond(V_r) = (beta_+ + gamma |g|) / (beta_- - gamma |g|), from the blocks' eigenvalues."""
+    spread = eps / 2.0 * math.hypot(g1, g2)
+    beta_plus, beta_minus = block_betas(eps, n_bar)
+    return (beta_plus + spread) / (beta_minus - spread)
 
 
 def block_fisher(eps: float, g1: float, g2: float, n_bar: float) -> np.ndarray:

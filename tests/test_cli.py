@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import block_condition_number
 
 from cvlbi import cli, interferometer
 from cvlbi.cli import MAX_EPS_POINTS, build_parser, main
@@ -352,7 +353,10 @@ class TestExitCodes:
         # state never checks it, so it still reports the covariance
         code, _, err = run_cli(capsys, "fisher", "--n-bar", "1e13")
         assert code == 3
-        assert "numerically singular" in err
+        # V_r's exact condition number; np.linalg.eigvalsh(V_r) gives 3.631e+13 here
+        condition = f"{block_condition_number(0.1, 0.0, 0.0, 1e13):.3e}"
+        assert condition == "3.636e+13"
+        assert f"numerically singular (condition number {condition})" in err
         code, out, _ = run_cli(capsys, "state", "--n-bar", "1e13")
         assert code == 0 and out
 

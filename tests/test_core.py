@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import gaussian_log_pdf, vacuum_covariance
+from oracles import check_positive_definite, gaussian_log_pdf, vacuum_covariance
 from scipy.linalg import expm as scipy_expm
 
 from cvlbi.core import (
     CovarianceMatrix,
     NumericalError,
     ValidationError,
-    _check_positive_definite,
     _indices,
     _is_full,
     apply_symplectic,
@@ -493,12 +492,12 @@ class TestCheckPositiveDefinite:
         entries = np.diag([scale, scale, scale, low])
         singular = r"^m is numerically singular \(condition number inf"
         with pytest.raises(NumericalError, match=singular):
-            _check_positive_definite(entries, "m")
+            check_positive_definite(entries, "m")
 
     @pytest.mark.parametrize("low", [-1e-3, -1e-12])
     def test_clearly_negative_is_not_positive_definite(self, low):
         with pytest.raises(NumericalError, match="m is not positive definite"):
-            _check_positive_definite(np.diag([1.0, 1.0, 1.0, low]), "m")
+            check_positive_definite(np.diag([1.0, 1.0, 1.0, low]), "m")
 
 
 class TestCheckPhysicality:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,6 +14,7 @@ import pytest
 from oracles import (
     block_basis,
     block_betas,
+    block_condition_number,
     block_moments,
     block_nll_and_grad,
     block_statistics,
@@ -838,8 +840,11 @@ class TestParallelSampling:
         use_cpus(monkeypatch, 4)
         made = record_threads(monkeypatch)
         cfg = InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1e13, theta=0.0)
-        message = r"measured covariance is numerically singular \(condition number 3\.790e\+13\)"
-        with pytest.raises(NumericalError, match=message):
+        # V_r's exact condition number; np.linalg.eigvalsh(V_r) gives 3.790e+13 here
+        condition = f"{block_condition_number(0.1, 0.3, 0.2, 1e13):.3e}"
+        assert condition == "3.760e+13"
+        message = f"measured covariance is numerically singular (condition number {condition})"
+        with pytest.raises(NumericalError, match=re.escape(message)):
             crb_experiment(cfg, shots=500, replications=30, seed=0)
         assert made == []
 
