@@ -6,8 +6,11 @@ success, 2 on validation errors (the message names the offending field), 3 on
 numerical failures; ``main`` returns them, argparse's own errors included.
 ``estimate`` warns on stderr when no fit left its starting point, and prints
 ``warning: K of R fits stopped at the iteration cap (N iterations)`` but exits 0
-when fits are capped; it exits 3 only when the measured covariance fails its
-check or a LAPACK routine fails.
+when fits are capped. It also warns, and still exits 0 with the same stdout, when
+``estimate.crb_circle_ratio`` exceeds ``CIRCLE_RATIO_LIMIT`` (1/4), so that the run
+cannot test the Cramer-Rao bound: the line names the ratio and the shot count that
+would bring it under the limit, or says that no count can. ``estimate`` exits 3
+only when the measured covariance fails its check or a LAPACK routine fails.
 
 argparse is the only parser. Each flag, with its default, is declared once, and
 each subcommand takes only the flags it reads (``_COMMANDS``).
@@ -24,12 +27,19 @@ optional true/false/1/0 value, so ``mc = false`` works too.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from .core import NumericalError, ValidationError, _check_integer
-from .estimate import MIN_REPLICATIONS, crb_experiment
+from .estimate import (
+    CIRCLE_RATIO_LIMIT,
+    MAX_SHOTS,
+    MIN_REPLICATIONS,
+    crb_circle_ratio,
+    crb_experiment,
+)
 from .fisher import (
     LIMIT_INFINITY,
     LIMIT_ZERO,
@@ -255,6 +265,19 @@ def cmd_estimate(args: argparse.Namespace) -> str:
             "starting points, not maximum-likelihood estimates",
             file=sys.stderr,
         )
+    ratio = crb_circle_ratio(icfg, args.shots)
+    if ratio > CIRCLE_RATIO_LIMIT:
+        scale = ratio / CIRCLE_RATIO_LIMIT
+        needed = args.shots * scale * scale  # the ratio falls as 1/sqrt(shots)
+        if math.isinf(needed):
+            reach = "no shot count brings it"
+        elif needed <= MAX_SHOTS:
+            reach = f"{math.ceil(needed)} shots would bring it"
+        else:
+            reach = f"{needed:.3g} shots, more than the {MAX_SHOTS} a run may take, would bring it"
+        print(f"warning: the CRB's standard deviation over the distance from g to the unit "
+              f"circle is {ratio:.4g}, so the disk constraint can beat the bound and the trace "
+              f"ratio cannot test it; {reach} under {CIRCLE_RATIO_LIMIT:g}", file=sys.stderr)
     return json_dumps(result.to_json_dict())
 
 

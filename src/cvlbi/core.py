@@ -136,7 +136,7 @@ class CovarianceMatrix:
     def _derived(cls, names: tuple, entries: np.ndarray) -> "CovarianceMatrix":
         """Wrap, unchecked and made read-only, a fresh array finite and symmetric by
         construction: validated matrices rearranged, or validated parameters placed so."""
-        entries.flags.writeable = False
+        entries.setflags(write=False)
         out = object.__new__(cls)
         out.__dict__.update(names=names, entries=entries)
         return out

@@ -55,6 +55,8 @@ _MAX_SAMPLING_THREADS = 4
 
 #: asymptotic-efficiency acceptance window on trace(cov_hat) / trace(CRB)
 EFFICIENCY_WINDOW = (0.8, 1.5)
+#: largest ``crb_circle_ratio`` at which a trace ratio tests the Cramer-Rao bound
+CIRCLE_RATIO_LIMIT = 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,6 +517,16 @@ def mle(record: MeasurementRecord) -> MleResult:
     returned as it stands, with reason "capped".
     """
     return _mle_lockstep(record.config, record.second_moment[None], record.shots)[0]
+
+
+def crb_circle_ratio(cfg: InterferometerConfig, shots: int) -> float:
+    """sqrt(lambda_max(F^-1 / M)) / (1 - |g|), inf at |g| >= 1: the CRB's largest standard
+    deviation at M shots over g's distance to the unit circle. Where it is not small, the
+    disk-constrained MLE beats the asymptotic bound by construction, so a trace ratio below
+    1 is expected data, not a fit failure."""
+    gap = 1.0 - math.hypot(cfg.source.g1, cfg.source.g2)
+    low = shots * float(np.linalg.eigvalsh(fisher_analytic(cfg).entries)[0])
+    return 1.0 / (gap * math.sqrt(low)) if gap > 0.0 and low > 0.0 else math.inf
 
 
 def crb_experiment(

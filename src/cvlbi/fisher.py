@@ -59,7 +59,7 @@ def _checked(a: float, upper: float, lower: float, c: float) -> np.ndarray:
     if _min_eigenvalue_2x2(a, lower, c) < PSD_FLOOR * scale:
         raise ValidationError("Fisher matrix must be positive semidefinite")
     m = np.array((a, upper, lower, c)).reshape(2, 2)
-    m.flags.writeable = False
+    m.setflags(write=False)
     return m
 
 

@@ -14,10 +14,13 @@ import from the quadrature names by ``core._indices`` and then made flat gathers
 
 Both a step-by-step pipeline and the direct closed form of the reduced covariance
 are provided. They agree to 1e-12. The closed form is linear in the coherence,
-V_r(g) = V_0 + g1 D1 + g2 D2. ``InterferometerConfig`` holds V_0, D1 and D2, V_r at its
-own coherence, checked from its exact extreme eigenvalues, and V_r's Cholesky factor, each
-built once per config, for downstream consumers (Fisher information, scores, sampling,
-likelihood) to read. The pipeline result is recorded alongside for verification.
+V_r(g) = V_0 + g1 D1 + g2 D2. ``InterferometerConfig`` builds D1 and D2 and V_r at its
+own coherence at construction, V_r from Python scalars in one array with the bits of
+``covariance``; V_0, V_r checked from its exact extreme eigenvalues, and V_r's Cholesky
+factor follow on first use. Each is built once per config for downstream consumers
+(Fisher information, scores, sampling, likelihood) to read. The pipeline result is
+recorded alongside for verification: its product state is one array of the two input
+states' entries, as ``states`` writes them, so it shares no arithmetic with V_r.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .states import (
     TMSV_ORDERING,
     SourceParams,
     TmsvParams,
-    astronomical_covariance,
-    tmsv_covariance_closed,
+    _astro_entries,
+    _tmsv_entries,
 )
 
 #: quadratures on which the beam splitters act (telescope-site pairs)
@@ -62,26 +65,42 @@ _SLOTS = np.array([[[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
 class InterferometerConfig:
     """Source and resource parameters feeding the fixed two-telescope layout, and the
     measured model they fix: V_r(g) = V_0 + g1 D1 + g2 D2 over (x_A1, p_A2, x_B1, p_B2).
-    Each array below is built once per config, on first use, and is read-only."""
+
+    ``d`` (the exact, constant derivatives D1 and D2 stacked, 2x4x4) and ``_v_r`` (V_r at the
+    config's coherence, unchecked) are built at construction, since every consumer reads
+    them; V_0, the checked ``measured_covariance`` and its Cholesky factor are built on
+    first use. Each array is built once per config and is read-only."""
 
     source: SourceParams
     resource: TmsvParams
 
+    def __post_init__(self):
+        g1, g2, h = self.source.g1, self.source.g2, 0.5 * self.source.epsilon
+        s, d, f = self._v0_scalars()
+        g1h, g2h, g1z, g2z = g1 * h, g2 * h, g1 * 0.0, g2 * 0.0
+        # V_r's four distinct cross entries, each summed as ``covariance`` sums it,
+        # (V_0 + g1 D1) + g2 D2, with D's zeros as the signed zeros g * 0.0; adding those
+        # leaves V_0's diagonal s >= 1 and its zeros (+0.0) as they are
+        p, m = (d + g1h) + g2z, (-d + g1h) + g2z
+        u, w = (f + g1z) + g2h, (f + g1z) + g2 * -h
+        v_r = np.array((s, 0.0, p, u, 0.0, s, w, m, p, w, s, 0.0, u, m, 0.0, s)).reshape(4, 4)
+        v_r.setflags(write=False)
+        slopes = h * _SLOTS
+        slopes.setflags(write=False)
+        self.__dict__.update(d=slopes, _v_r=v_r)
+
+    def _v0_scalars(self) -> tuple[float, float, float]:
+        """V_0's diagonal and its two cross terms: half of a + b, d and f (see abbreviations)."""
+        a, b, _, d, _, f = abbreviations(self)
+        return 0.5 * (a + b), 0.5 * d, 0.5 * f  # halving is exact: same bits as 0.5 * V
+
     @cached_property
     def v0(self) -> np.ndarray:
         """V_0: the source flux and the resource, V_r at zero coherence."""
-        a, b, _, d, _, f = abbreviations(self)
-        s, d, f = 0.5 * (a + b), 0.5 * d, 0.5 * f  # halving is exact: same bits as 0.5 * V
+        s, d, f = self._v0_scalars()
         v0 = np.array((s, 0.0, d, f, 0.0, s, f, -d, d, f, s, 0.0, f, -d, 0.0, s)).reshape(4, 4)
-        v0.flags.writeable = False
+        v0.setflags(write=False)
         return v0
-
-    @cached_property
-    def d(self) -> np.ndarray:
-        """D1 and D2 stacked (2x4x4): the exact, constant derivatives dV_r/dg."""
-        d = 0.5 * self.source.epsilon * _SLOTS
-        d.flags.writeable = False
-        return d
 
     def covariance(self, g1, g2) -> np.ndarray:
         """V_r at coherence (g1, g2); the caller is responsible for |g| <= 1.
@@ -89,13 +108,6 @@ class InterferometerConfig:
         g1 and g2 may be arrays of shape (n, 1, 1), giving a stack of n matrices.
         """
         return self.v0 + g1 * self.d[0] + g2 * self.d[1]
-
-    @cached_property
-    def _v_r(self) -> np.ndarray:
-        """V_r at the config's coherence, unchecked."""
-        v = self.covariance(self.source.g1, self.source.g2)
-        v.flags.writeable = False
-        return v
 
     @property
     def _extreme_eigenvalues(self) -> tuple[float, float]:
@@ -121,7 +133,7 @@ class InterferometerConfig:
     def cholesky(self) -> np.ndarray:
         """Lower Cholesky factor of ``measured_covariance``: every sampler and score reads it."""
         chol = np.linalg.cholesky(self.measured_covariance)
-        chol.flags.writeable = False
+        chol.setflags(write=False)
         return chol
 
     @classmethod
@@ -168,9 +180,8 @@ def abbreviations(cfg: InterferometerConfig) -> tuple[float, float, float, float
 
 def full_output_covariance(cfg: InterferometerConfig) -> CovarianceMatrix:
     """Post-beam-splitter covariance on (A1, A2, B1, B2): product state, permutation, S V S^T."""
-    astro = astronomical_covariance(cfg.source).entries
-    tmsv = tmsv_covariance_closed(cfg.resource).entries
-    product = np.concatenate((astro.ravel(), tmsv.ravel(), [0.0])).take(_PAIRED_FLAT)
+    product = np.array(_astro_entries(cfg.source) + _tmsv_entries(cfg.resource) + (0.0,))
+    product = product.take(_PAIRED_FLAT)
     out = _TWO_SITE_BEAM_SPLITTER @ product @ _TWO_SITE_BEAM_SPLITTER.T
     return CovarianceMatrix._derived(OUTPUT_ORDERING, (out + out.T) / 2.0)  # as apply_symplectic
 

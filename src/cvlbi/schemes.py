@@ -25,9 +25,7 @@ at g = 0, which no measurement can reach.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 from dataclasses import dataclass
 
@@ -229,27 +227,3 @@ def curves_to_csv(curves: list[SchemeCurve]) -> str:
         for eps, bound in curve.points
     )
     return csv_dumps(CSV_HEADER, rows)
-
-
-def curves_from_csv(text: str) -> list[SchemeCurve]:
-    """Parse the normative CSV back into curves (grid order preserved per scheme).
-
-    A malformed row, a non-finite value or an unknown mode included, raises
-    ``ValidationError`` naming its 1-based line.
-    """
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ValidationError(f"expected CSV header {','.join(CSV_HEADER)}")
-    by_scheme: dict[tuple, list] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        try:
-            eps_s, scheme_s, bound_s, mode = row
-            key, point = (SchemeId(scheme_s), mode), (float(eps_s), float(bound_s))
-            SchemeCurve(key[0], (point,), mode)  # checks the row's values and mode
-        except ValueError as exc:
-            raise ValidationError(f"CSV line {lineno}: {exc}") from exc
-        by_scheme.setdefault(key, []).append(point)
-    return [
-        SchemeCurve(scheme=scheme, points=tuple(points), mode=mode)
-        for (scheme, mode), points in by_scheme.items()
-    ]

@@ -5,9 +5,11 @@ photon flux per coherence time epsilon and the complex mutual coherence
 g = g1 + i*g2 with |g| <= 1. The squeezed resource lives on modes A2/B2 and is
 parameterized by its per-mode mean photon number n_bar and squeezing phase theta.
 
-The squeezed covariance is built two ways, by closed form and through the
-symplectic exponential exp(Omega H); the constructions agree to 1e-10 and the
-redundancy is part of the test strategy.
+Each closed form is written once, as its 16 entries row by row (``_astro_entries``,
+``_tmsv_entries``): the public constructors wrap them, and the interferometer's
+product state reads them directly. The squeezed covariance is built two ways, by
+closed form and through the symplectic exponential exp(Omega H); the constructions
+agree to 1e-10 and the redundancy is part of the test strategy.
 """
 
 from __future__ import annotations
@@ -113,6 +115,13 @@ class TmsvParams:
         return 0.5 * math.acosh(2.0 * self.n_bar + 1.0)
 
 
+def _astro_entries(params: SourceParams) -> tuple[float, ...]:
+    """The 16 entries of ``astronomical_covariance``, row by row."""
+    eps = params.epsilon
+    a, c, e = eps + 1.0, eps * params.g1, eps * params.g2
+    return (a, 0.0, c, -e, 0.0, a, e, c, c, e, a, 0.0, -e, c, 0.0, a)
+
+
 def astronomical_covariance(params: SourceParams) -> CovarianceMatrix:
     """Covariance of the bipartite thermal astronomical state on (A1, B1).
 
@@ -122,10 +131,17 @@ def astronomical_covariance(params: SourceParams) -> CovarianceMatrix:
         [[eps*g1, -eps*g2],
          [eps*g2,  eps*g1]]
     """
-    eps = params.epsilon
-    a, c, e = eps + 1.0, eps * params.g1, eps * params.g2
-    entries = np.array((a, 0.0, c, -e, 0.0, a, e, c, c, e, a, 0.0, -e, c, 0.0, a)).reshape(4, 4)
+    entries = np.array(_astro_entries(params)).reshape(4, 4)
     return CovarianceMatrix._derived(ASTRO_ORDERING, entries)
+
+
+def _tmsv_entries(params: TmsvParams) -> tuple[float, ...]:
+    """The 16 entries of ``tmsv_covariance_closed``, row by row."""
+    n = params.n_bar
+    b = 2.0 * n + 1.0
+    root = 2.0 * math.sqrt(n * (n + 1.0))
+    c, s = root * math.cos(params.theta), root * math.sin(params.theta)
+    return (b, 0.0, c, s, 0.0, b, s, -c, c, s, b, 0.0, s, -c, 0.0, b)
 
 
 def tmsv_covariance_closed(params: TmsvParams) -> CovarianceMatrix:
@@ -134,11 +150,7 @@ def tmsv_covariance_closed(params: TmsvParams) -> CovarianceMatrix:
     Diagonal blocks are (2 n_bar + 1) I_2; cross blocks are
     2 sqrt(n_bar (n_bar + 1)) (cos(theta) sigma_z + sin(theta) sigma_x).
     """
-    n = params.n_bar
-    b = 2.0 * n + 1.0
-    root = 2.0 * math.sqrt(n * (n + 1.0))
-    c, s = root * math.cos(params.theta), root * math.sin(params.theta)
-    entries = np.array((b, 0.0, c, s, 0.0, b, s, -c, c, s, b, 0.0, s, -c, 0.0, b)).reshape(4, 4)
+    entries = np.array(_tmsv_entries(params)).reshape(4, 4)
     return CovarianceMatrix._derived(TMSV_ORDERING, entries)
 
 

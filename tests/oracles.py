@@ -24,9 +24,13 @@
 * ``heterodyne_fisher``: the Fisher information of heterodyne detection at each site,
   against which ``fisher_analytic`` with a vacuum resource and the LOCAL bound are checked;
 * ``direct_detection_fisher``: the exact Fisher information of direct detection, against
-  which the DD bound and the homodyne Fisher information are checked.
+  which the DD bound and the homodyne Fisher information are checked;
+* ``curves_from_csv``: the ``compare`` CSV read back into curves, against which the
+  CSV emission is checked to round-trip byte for byte.
 """
 
+import csv
+import io
 import math
 from decimal import Decimal, localcontext
 
@@ -46,6 +50,7 @@ from cvlbi.interferometer import (
     abbreviations,
     beam_splitter_matrix,
 )
+from cvlbi.schemes import CSV_HEADER, SchemeCurve, SchemeId
 from cvlbi.states import SourceParams, astronomical_covariance
 
 
@@ -367,3 +372,27 @@ def direct_detection_fisher(eps: float, g1: float, g2: float) -> np.ndarray:
         dp = signs @ dp_none
         f += 0.5 * dp.T @ (dp / p[:, None])
     return f
+
+
+def curves_from_csv(text: str) -> list[SchemeCurve]:
+    """Parse the normative CSV back into curves (grid order preserved per scheme).
+
+    A malformed row, a non-finite value or an unknown mode included, raises
+    ``ValidationError`` naming its 1-based line.
+    """
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or tuple(rows[0]) != CSV_HEADER:
+        raise ValidationError(f"expected CSV header {','.join(CSV_HEADER)}")
+    by_scheme: dict[tuple, list] = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        try:
+            eps_s, scheme_s, bound_s, mode = row
+            key, point = (SchemeId(scheme_s), mode), (float(eps_s), float(bound_s))
+            SchemeCurve(key[0], (point,), mode)  # checks the row's values and mode
+        except ValueError as exc:
+            raise ValidationError(f"CSV line {lineno}: {exc}") from exc
+        by_scheme.setdefault(key, []).append(point)
+    return [
+        SchemeCurve(scheme=scheme, points=tuple(points), mode=mode)
+        for (scheme, mode), points in by_scheme.items()
+    ]

@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+from oracles import curves_from_csv
 
 from cvlbi.core import check_physicality
 from cvlbi.estimate import crb_experiment, sample_records
@@ -29,7 +30,6 @@ from cvlbi.schemes import (
     DEFAULT_GRID_MIN,
     DEFAULT_GRID_POINTS,
     cumulative_curves,
-    curves_from_csv,
     curves_to_csv,
     pairwise_crossings,
 )

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_condition_number
+from oracles import block_condition_number, curves_from_csv
 
 from cvlbi import cli, interferometer
 from cvlbi.cli import MAX_EPS_POINTS, build_parser, main
@@ -237,8 +237,36 @@ class TestEstimateCommand:
         assert err == (
             "warning: every fit stopped at 0 iterations; the estimates are the "
             "starting points, not maximum-likelihood estimates\n"
+            "warning: the CRB's standard deviation over the distance from g to the unit "
+            "circle is 3.651e+07, so the disk constraint can beat the bound and the trace "
+            "ratio cannot test it; 2.13e+19 shots, more than the 10000000 a run may take, "
+            "would bring it under 0.25\n"
         )
         assert json.loads(out)["trace_ratio"] < 1e-10
+
+    def test_says_how_many_shots_would_test_the_bound(self, capsys):
+        # the golden run: r = 0.3955 at 1,000 shots, so ceil(1000 (4 r)^2) = 2503 shots
+        args = GOLDEN_ARGV["estimate"]
+        code, _, err = run_cli(capsys, *args)
+        assert code == 0
+        assert err == (
+            "warning: the CRB's standard deviation over the distance from g to the unit "
+            "circle is 0.3955, so the disk constraint can beat the bound and the trace ratio "
+            "cannot test it; 2503 shots would bring it under 0.25\n"
+        )
+        code, _, err = run_cli(capsys, *args[:2], "2503", *args[3:])
+        assert (code, err) == (0, "")
+
+    def test_says_when_no_shot_count_can_test_the_bound(self, capsys):
+        code, _, err = run_cli(
+            capsys, "estimate", "--g1", "0.6", "--g2", "0.8", "--shots", "100",
+            "--replications", "30",
+        )
+        assert code == 0
+        assert err.endswith(
+            "circle is inf, so the disk constraint can beat the bound and the trace ratio "
+            "cannot test it; no shot count brings it under 0.25\n"
+        )
 
     def test_too_few_replications_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--replications", "10")
@@ -339,7 +367,7 @@ class TestRoundTrips:
         assert values and [format_float(float(v), CSV_FLOAT_DIGITS) for v in values] == values
 
     def test_csv_reemission_byte_identical(self, tmp_path):
-        from cvlbi.schemes import curves_from_csv, curves_to_csv
+        from cvlbi.schemes import curves_to_csv
 
         path = tmp_path / "curves.csv"
         assert main(["compare", "--format", "csv", "--output", str(path)]) == 0

@@ -15,6 +15,7 @@ from oracles import (
     block_basis,
     block_betas,
     block_condition_number,
+    block_fisher,
     block_moments,
     block_nll_and_grad,
     block_statistics,
@@ -41,6 +42,7 @@ from cvlbi.estimate import (
     _sampling_workers,
     _second_moment,
     _second_moments,
+    crb_circle_ratio,
     crb_experiment,
     log_likelihood,
     log_likelihood_gradient,
@@ -663,6 +665,22 @@ class TestCrbExperiment:
         a = crb_experiment(CFG, shots=500, replications=30, seed=7)
         b = crb_experiment(CFG, shots=500, replications=30, seed=8)
         assert not np.array_equal(a.covariance_hat, b.covariance_hat)
+
+    def test_circle_ratio_against_the_block_fisher(self):
+        # sqrt(lambda_max(F^-1) / M) / (1 - |g|), from the closed-form Fisher matrix
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            eps, mag, phase = 10.0 ** rng.uniform(-6, 0), rng.uniform(0, 0.99), rng.uniform(0, 7)
+            n_bar, shots = 10.0 ** rng.uniform(-3, 3), int(rng.integers(1, 10**6))
+            g1, g2 = mag * math.cos(phase), mag * math.sin(phase)
+            cfg = InterferometerConfig.from_values(eps, g1, g2, n_bar=n_bar)
+            low = np.linalg.eigvalsh(block_fisher(eps, g1, g2, n_bar))[0]
+            expected = 1.0 / math.sqrt(shots * low) / (1.0 - math.hypot(g1, g2))
+            assert crb_circle_ratio(cfg, shots) == pytest.approx(expected, rel=1e-9)
+
+    def test_circle_ratio_is_infinite_on_the_circle(self):
+        cfg = InterferometerConfig.from_values(0.1, 0.6, 0.8, n_bar=1.0)
+        assert crb_circle_ratio(cfg, MAX_SHOTS) == math.inf
 
     def test_json_record_fields(self):
         result = crb_experiment(CFG, shots=500, replications=30, seed=7)

@@ -23,7 +23,13 @@ from oracles import (
 
 from cvlbi.cli import main
 from cvlbi.core import DRAW_CHUNK, ValidationError, symplectic_form
-from cvlbi.estimate import MeasurementRecord, log_likelihood, mle, sample_records
+from cvlbi.estimate import (
+    MeasurementRecord,
+    crb_experiment,
+    log_likelihood,
+    mle,
+    sample_records,
+)
 from cvlbi.fisher import (
     LIMIT_INFINITY,
     LIMIT_ZERO,
@@ -861,3 +867,36 @@ class TestRotationSymmetry:
         gap = np.array(turned.g) - r @ np.array(fit.g)
         assert math.sqrt(shots * gap @ fisher_analytic(rotated).entries @ gap) <= 1e-3
         assert abs(turned.log_likelihood - fit.log_likelihood) <= 1e-6
+
+
+def ks_equal_sizes_pvalue(a, b) -> float:
+    """Exact p-value of the two-sample Kolmogorov-Smirnov statistic D = k / n for samples
+    of equal size n: P(D >= k / n) = 2 sum_j (-1)^(j+1) C(2n, n - j k) / C(2n, n) (Hodges
+    1957). It matched scipy.stats.ks_2samp to 4e-5 relative over 2,000 random pairs; scipy
+    itself is not imported, since importing scipy.stats alone takes over a second."""
+    n, a, b = len(a), np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    below_a, below_b = (np.searchsorted(x, pooled, "right") for x in (a, b))
+    k = int(np.max(np.abs(below_a - below_b)))
+    terms = sum((-1) ** (j + 1) * math.comb(2 * n, n - j * k) for j in range(1, n // k + 1))
+    return 2 * terms / math.comb(2 * n, n)
+
+
+def test_crb_experiment_trace_ratio_is_rotation_invariant():
+    """The trace ratio at R g has the distribution it has at g: the records at R g are
+    distributed as U-rotated records at g, the fits are equivariant and the trace of the
+    CRB is invariant. Compared over independent seeds, 30 a side, by the two-sample
+    Kolmogorov-Smirnov test at level 1e-3, which a correct program fails with probability
+    at most 1e-3. At |g| = 0.8 the disk constraint matters: about 11 of 30 fits end on
+    the circle."""
+    alpha, g = 0.7, 0.8 * np.array([math.cos(0.4), math.sin(0.4)])
+    cfg, rotated = (
+        InterferometerConfig.from_values(0.1, *h, n_bar=1.0, theta=1.0)
+        for h in (g, rotation(-2.0 * alpha) @ g)
+    )
+    at_g, at_rg = (
+        [crb_experiment(c, 1000, 30, seed).trace_ratio for seed in seeds]
+        for c, seeds in ((cfg, range(30)), (rotated, range(30, 60)))
+    )
+    # measured at these seeds: D = 5/30, p = 0.81
+    assert ks_equal_sizes_pvalue(at_g, at_rg) >= 1e-3

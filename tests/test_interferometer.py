@@ -151,7 +151,8 @@ def count_calls(monkeypatch, home, name: str) -> list:
 def test_sweep_path_work_count(monkeypatch):
     """One config through state plus fisher: no validating covariance, no general
     symplectic transform, no dense eigensolver, exactly one conditioning check of V_r
-    from its exact eigenvalues, one V_r formed and one solve."""
+    from its exact eigenvalues, one solve, and no V_r formed beyond the one the config
+    built at construction, which the closed form and the check both hand on."""
     validations = []
     post_init = CovarianceMatrix.__post_init__
 
@@ -174,12 +175,14 @@ def test_sweep_path_work_count(monkeypatch):
 
     eps, g1, g2 = 0.1, 0.3, 0.2
     cfg = InterferometerConfig.from_values(eps, g1, g2, n_bar=1.0, theta=0.5)
-    assert reduced_covariance(cfg).pipeline_gap <= 1e-12
+    state = reduced_covariance(cfg)
+    assert state.pipeline_gap <= 1e-12
     fisher.fisher_analytic(cfg)
     fisher.fisher_limit_closed_form(eps, g1, g2, fisher.LIMIT_ZERO)
     fisher.fisher_limit_closed_form(eps, g1, g2, fisher.LIMIT_INFINITY)
+    assert state.v_r.entries is cfg._v_r is cfg.measured_covariance
     assert (len(validations), len(transforms), len(checks), len(eigensolves)) == (0, 0, 1, 0)
-    assert (len(formed), len(solves)) == (1, 1)
+    assert (len(formed), len(solves)) == (0, 1)
 
 
 def test_one_factorisation_of_v_r_per_config(monkeypatch):
@@ -414,6 +417,29 @@ class TestMeasuredModel:
         expected = cfg.v0 - 0.4 * cfg.d[0] + 0.5 * cfg.d[1]
         assert np.array_equal(reduced_covariance_closed(cfg).entries, expected)
 
+    def test_built_v_r_is_the_models_bits(self, corner_configs):
+        """The V_r built at construction has the bits of (V_0 + g1 D1) + g2 D2, signed zeros
+        included: g components of +-0.0, and a zero flux resource at phases where the cross
+        terms of V_0 are -0.0 (cos or sin of theta below 0)."""
+        rng = np.random.default_rng(RNG_SEED + 9)
+        zeros, thetas = (0.0, -0.0), (0.0, 2.0, 3.5, 5.0)
+        configs = list(corner_configs)
+        for _ in range(1000):
+            cfg = wide_config(rng)
+            g1, g2 = cfg.source.g1, cfg.source.g2
+            g1, g2 = (rng.choice(zeros) if rng.uniform() < 0.3 else g for g in (g1, g2))
+            n_bar = 0.0 if rng.uniform() < 0.3 else cfg.resource.n_bar
+            theta = rng.choice(thetas) if rng.uniform() < 0.3 else cfg.resource.theta
+            configs.append(InterferometerConfig.from_values(
+                cfg.source.epsilon, float(g1), float(g2), n_bar=n_bar, theta=float(theta)
+            ))
+        for g1, g2 in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-0.5, -0.0)):
+            for theta in thetas:
+                configs.append(InterferometerConfig.from_values(0.1, g1, g2, theta=theta))
+        for cfg in configs:
+            v_r = cfg.covariance(cfg.source.g1, cfg.source.g2)
+            assert cfg._v_r.tobytes() == v_r.tobytes(), cfg
+
     def test_built_once_per_config(self):
         cfg = InterferometerConfig.from_values(0.1, 0.3, 0.2, n_bar=1.0)
         assert cfg.v0 is cfg.v0
@@ -421,7 +447,7 @@ class TestMeasuredModel:
 
     def test_arrays_read_only(self):
         cfg = InterferometerConfig.from_values(0.1)
-        for array in (cfg.v0, cfg.d, cfg.cholesky):
+        for array in (cfg.v0, cfg.d, cfg._v_r, cfg.cholesky):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import published_bound
+from oracles import curves_from_csv, published_bound
 
 from cvlbi.core import ValidationError
 from cvlbi.schemes import (
@@ -20,7 +20,6 @@ from cvlbi.schemes import (
     SchemeCurve,
     SchemeId,
     cumulative_curves,
-    curves_from_csv,
     curves_to_csv,
     ordering_report,
     pairwise_crossings,
